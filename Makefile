@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race bench-short sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke depbench perftrack ci
+.PHONY: all help build vet test race bench-short sched-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke depbench perftrack ci
 
 all: build
 
@@ -16,7 +16,6 @@ help:
 	@echo "  race           race detector pass (short mode)"
 	@echo "  bench-short    every benchmark once (benchmark-code smoke)"
 	@echo "  sched-smoke    ready-pool contention matrix (w=1/4/8) + w=1 parity guard"
-	@echo "  throttle-smoke throttle-window contention matrix (impl x window x w) + w=1 parity guard"
 	@echo "  mem-smoke      memory-pool gates: >=5x alloc cut, pooled-vs-reference differentials,"
 	@echo "                 leak accounting, w=1 parity guard, SubmitDisjoint bench smoke"
 	@echo "  replay-smoke   record-and-replay gates: replay-vs-live differential over random"
@@ -56,7 +55,7 @@ help:
 	@echo "  perftrack      full perf-trajectory run: collect the depbench matrix + reproduce"
 	@echo "                 workloads under CV validation, gate against the last committed"
 	@echo "                 record, append to BENCH_history.json (go run ./cmd/perftrack)"
-	@echo "  ci             build + vet + test + race + bench-short + sched/throttle/mem/replay/wait/ws/topo/chaos/perftrack smokes"
+	@echo "  ci             build + vet + test + race + bench-short + sched/mem/replay/wait/ws/topo/chaos/perftrack smokes"
 
 build:
 	$(GO) build ./...
@@ -82,13 +81,6 @@ bench-short:
 # must stay at parity with the single-lock reference when uncontended).
 sched-smoke:
 	$(GO) test -run 'TestSchedW1Parity' -bench 'BenchmarkSchedContentionMatrix' -benchtime 1x ./internal/sched
-
-# Throttle admission-window contention smoke: the window matrix
-# (impl x window x w=1/4/8) plus the w=1 parity regression guard (the
-# sharded window's credit-cache fast path must stay at parity with the
-# mutex+cond reference when uncontended).
-throttle-smoke:
-	$(GO) test -run 'TestThrottleW1Parity' -bench 'BenchmarkThrottleContentionMatrix' -benchtime 1x ./internal/throttle
 
 # Memory-pool smoke: the steady-state allocation gate (pooled must cut
 # allocs/op >=5x vs the allocate-always reference), the pooled-vs-reference
@@ -137,8 +129,8 @@ ws-smoke:
 
 # Contention tables (deps: global vs sharded engine, plus the pooled
 # memory mode; sched: single-lock vs
-# sharded ready pools; throttle: mutex+cond vs sharded token-bucket
-# window; replay: live engine vs frozen-graph replay per sweep; wait:
+# sharded ready pools; throttle: the mutex+cond window per width;
+# replay: live engine vs frozen-graph replay per sweep; wait:
 # parking vs continuation taskwait). See `go doc ./cmd/depbench` for the
 # flags and columns.
 depbench:
@@ -196,4 +188,4 @@ perftrack-smoke:
 perftrack:
 	$(GO) run ./cmd/perftrack -compare
 
-ci: build vet test race bench-short sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke
+ci: build vet test race bench-short sched-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke

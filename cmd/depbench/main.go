@@ -11,8 +11,8 @@
 //     ready pools and the sharded (lock-free deque) pools.
 //   - throttle: the open-task admission window (bounded lookahead). The
 //     analogous cycle workload (w submitters sharing one contended window,
-//     each cycling reserve → enter → start) runs through the mutex+cond
-//     reference window and the sharded token-bucket window.
+//     each cycling reserve → enter → start) runs through the runtime's
+//     mutex+cond window, one row per width.
 //   - replay: the record-and-replay taskgraph cache. The Gauss-Seidel
 //     wavefront sweep (one graph region per iteration, empty tile bodies
 //     so only runtime overhead is measured) runs three ways: the paper's
@@ -92,7 +92,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mempool"
 	"repro/internal/sched"
-	"repro/internal/throttle"
 )
 
 // row is one table row of the -json output.
@@ -275,32 +274,30 @@ func main() {
 			em.printf("\n")
 		}
 		em.printf("throttle admission window (shared contended window)\n")
-		em.printf("%-8s %8s %8s %12s %12s %10s %14s %20s %10s %11s %10s\n",
-			"impl", "workers", "window", "ops", "wall", "Mops/s", "mutex-wait", "throttle-lock-Gcyc", "parks", "allocs/kop", "gc-pause")
+		em.printf("%8s %8s %12s %12s %10s %14s %20s %10s %11s %10s\n",
+			"workers", "window", "ops", "wall", "Mops/s", "mutex-wait", "throttle-lock-Gcyc", "parks", "allocs/kop", "gc-pause")
 		for _, w := range workers {
 			withGOMAXPROCS(w, func() {
 				window := *windowFlag
 				if window <= 0 {
 					window = w
 				}
-				for _, kind := range []throttle.Kind{throttle.KindLocked, throttle.KindSharded} {
-					harness.ThrottleBench(kind, w, *throttleOpsFlag/10, window)
-					runtime.GC()
-					c, parks := harness.ThrottleBench(kind, w, *throttleOpsFlag, window)
-					em.printf("%-8s %8d %8d %12d %12s %10.2f %14s %20.3f %10d %11.1f %10s\n",
-						kind, w, window, c.Ops, c.Wall.Round(time.Millisecond),
-						float64(c.Ops)/c.Wall.Seconds()/1e6, c.MutexWait.Round(10*time.Microsecond),
-						float64(c.LockCycles)/1e9, parks, float64(c.Allocs)/float64(c.Ops)*1000,
-						c.GCPause.Round(10*time.Microsecond))
-					em.add("throttle", kind.String(), w, map[string]int64{"window": int64(window)}, map[string]float64{
-						"ops": float64(c.Ops), "wall_ns": float64(c.Wall),
-						"mops":          float64(c.Ops) / c.Wall.Seconds() / 1e6,
-						"mutex_wait_ns": float64(c.MutexWait), "lock_gcyc": float64(c.LockCycles) / 1e9,
-						"parks":          float64(parks),
-						"allocs_per_kop": float64(c.Allocs) / float64(c.Ops) * 1000,
-						"gc_pause_ns":    float64(c.GCPause),
-					})
-				}
+				harness.ThrottleBench(w, *throttleOpsFlag/10, window)
+				runtime.GC()
+				c, parks := harness.ThrottleBench(w, *throttleOpsFlag, window)
+				em.printf("%8d %8d %12d %12s %10.2f %14s %20.3f %10d %11.1f %10s\n",
+					w, window, c.Ops, c.Wall.Round(time.Millisecond),
+					float64(c.Ops)/c.Wall.Seconds()/1e6, c.MutexWait.Round(10*time.Microsecond),
+					float64(c.LockCycles)/1e9, parks, float64(c.Allocs)/float64(c.Ops)*1000,
+					c.GCPause.Round(10*time.Microsecond))
+				em.add("throttle", "window", w, map[string]int64{"window": int64(window)}, map[string]float64{
+					"ops": float64(c.Ops), "wall_ns": float64(c.Wall),
+					"mops":          float64(c.Ops) / c.Wall.Seconds() / 1e6,
+					"mutex_wait_ns": float64(c.MutexWait), "lock_gcyc": float64(c.LockCycles) / 1e9,
+					"parks":          float64(parks),
+					"allocs_per_kop": float64(c.Allocs) / float64(c.Ops) * 1000,
+					"gc_pause_ns":    float64(c.GCPause),
+				})
 			})
 		}
 	}

@@ -159,9 +159,10 @@ func gate(path string, rec perfstat.Record, policy perfstat.GatePolicy) bool {
 		fmt.Fprintln(os.Stderr, "perftrack: history:", err)
 		return false
 	}
-	base := perfstat.LastComparable(recs, rec.Quick)
+	base := perfstat.LastComparable(recs, rec)
 	if base == nil {
-		fmt.Printf("no comparable record in %s (quick=%v); gate skipped\n", path, rec.Quick)
+		fmt.Printf("no comparable record in %s (quick=%v maxprocs=%d %s); gate skipped\n",
+			path, rec.Quick, rec.MaxProcs, rec.Go)
 		return true
 	}
 	fmt.Printf("gate: comparing against %s (%s)\n", base.Commit, base.Time)

@@ -1,8 +1,7 @@
 // Package chaos is the runtime's failpoint registry: named injection
 // sites threaded through every lock-free protocol edge (the steal-CAS
-// retry and Dekker recheck windows in internal/sched, the credit-steal
-// and batch-wake hand-off in internal/throttle, the cascade ordering and
-// pin-count release in internal/deps, the lane-refill path in
+// retry and Dekker recheck windows in internal/sched, the cascade
+// ordering and pin-count release in internal/deps, the lane-refill path in
 // internal/mempool, and the replay/taskwait/worksharing intercepts in
 // internal/core). A site does nothing when the registry is disarmed — the
 // fast path is a single atomic bool load and a predictable branch, cheap
@@ -59,13 +58,6 @@ const (
 	// SchedDekkerRecheck sits in kick between the item publication and the
 	// token-list recheck on the submitter side of the same Dekker pair.
 	SchedDekkerRecheck
-	// ThrottleCreditSteal sits in the sharded window's tryAcquire before
-	// the cross-cache steal scan, racing it against concurrent Started
-	// returns and other stealers.
-	ThrottleCreditSteal
-	// ThrottleBatchWake sits in put between the waiter-count check and the
-	// credit hand-off, racing the hand-off against waiter deregistration.
-	ThrottleBatchWake
 	// DepsCascade sits in the sharded engine's CompleteInto between shard
 	// visits, interleaving multi-object completion cascades.
 	DepsCascade
@@ -99,8 +91,6 @@ var siteNames = [NumSites]string{
 	"sched-steal-cas",
 	"sched-token-retire",
 	"sched-dekker-recheck",
-	"throttle-credit-steal",
-	"throttle-batch-wake",
 	"deps-cascade",
 	"deps-pin-release",
 	"mempool-refill",

@@ -9,7 +9,7 @@ import (
 )
 
 // Chaos soak: the full real-mode stack — sharded deps, stealing pool,
-// sharded throttle, pooled memory, record-and-replay regions, continuation
+// throttle window, pooled memory, record-and-replay regions, continuation
 // taskwait, chunked worksharing — driven under randomized seeded failpoint
 // schedules (internal/chaos) that widen every lock-free race window the
 // runtime owns. The oracles are the existing ones: a deterministic final

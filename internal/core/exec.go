@@ -192,7 +192,7 @@ func (r *Runtime) runWorker(t *Task, w int) {
 // hand-off successor if any and the worker the goroutine holds afterwards.
 func (r *Runtime) executeTask(t *Task, w int) (*Task, int) {
 	r.beat(w, hbTask)
-	r.taskStarted(t, w)
+	r.taskStarted(t)
 	tc := &TaskContext{rt: r, task: t, worker: w}
 	if r.caches != nil {
 		r.feedCache(t, w)

@@ -12,7 +12,7 @@ import (
 // Panic-safe drain tests: a panic anywhere in the task tree — inside a
 // replayed graph region, a final serial task, a worksharing owner — must
 // poison its region, drain the runtime to quiescence with every pooled
-// object recycled and every throttle credit refunded, and surface exactly
+// object recycled and every throttle credit returned, and surface exactly
 // one *TaskError. Every test runs with Debug so runErr's joined leak
 // checks (pools, fragments, live tasks, credit conservation) are part of
 // the assertion: a drain that leaked turns the TaskError into a join that

@@ -122,6 +122,14 @@ type Config struct {
 	// always wakes. (Counting all instantiated tasks would deadlock nested
 	// weak programs: a task can be dependency-blocked on fragments that
 	// release only when its blocked submitter's own body finishes.)
+	//
+	// The bound is check-then-enter: a submitter passes while fewer than
+	// ThrottleOpenTasks ready tasks wait, so submitted tasks fill the
+	// window to at most ThrottleOpenTasks plus one slot per concurrently
+	// submitting task beyond the first (s concurrent submitters:
+	// ThrottleOpenTasks + s - 1). Tasks readied by dependency cascades
+	// never block and may overdraw the bound further. Virtual mode ignores
+	// the bound (the sequential simulation never blocks submitters).
 	ThrottleOpenTasks int
 	// MemPool selects the task-lifecycle memory management.
 	// mempool.KindAuto (the zero value) picks the pooled mode in real mode:
@@ -149,17 +157,6 @@ type Config struct {
 	// disables the cache (regions keep their barrier); virtual mode always
 	// resolves to off.
 	Replay replay.Kind
-	// ThrottleImpl selects the throttle-window implementation.
-	// throttle.KindAuto (the zero value) picks the sharded token-bucket
-	// window in real mode — a global atomic credit balance with per-worker
-	// credit caches and per-shard wait lists, so throttled submitters and
-	// task starts on different workers do not serialize on a common lock.
-	// throttle.KindLocked is the single mutex+cond reference window. Both
-	// enforce the same bound (the differential tests in internal/throttle
-	// prove it); selecting one explicitly is for ablations and A/B
-	// comparisons. Ignored when ThrottleOpenTasks is 0 or in virtual mode
-	// (the sequential simulation never blocks submitters).
-	ThrottleImpl throttle.Kind
 	// WorksharingImpl selects the TaskContext.Worksharing execution
 	// strategy. WorksharingAuto (the zero value) picks the chunk-distributed
 	// strategy in real mode: one task registers the loop's union depend
@@ -278,7 +275,7 @@ type Runtime struct {
 	tasksG *mempool.Global[Task]
 	ws     []workerScratch
 
-	thr throttle.Window // admission window (nil if unthrottled or virtual)
+	thr *throttle.Window // admission window (nil if unthrottled or virtual)
 
 	// Taskwait strategy (Config.TaskwaitImpl). contPool is the continuation-
 	// node free list (continuation strategy, real mode only); tw counts
@@ -380,11 +377,7 @@ func New(cfg Config) *Runtime {
 		}
 	}
 	if cfg.ThrottleOpenTasks > 0 && !cfg.Virtual {
-		tk := cfg.ThrottleImpl
-		if tk == throttle.KindAuto {
-			tk = throttle.KindSharded
-		}
-		r.thr = throttle.New(tk, cfg.ThrottleOpenTasks, cfg.Workers)
+		r.thr = throttle.New(cfg.ThrottleOpenTasks)
 	}
 	rp := cfg.Replay
 	if rp == replay.KindAuto {

@@ -207,14 +207,13 @@ func (tc *TaskContext) Submit(spec TaskSpec) {
 // admitChild runs the admission prologue shared by the live and replay
 // submission paths: the throttle gate (the reservation may block, yielding
 // this worker's token into other ready work and reacquiring one — possibly
-// different — before returning; a prepaid reservation carries a window
-// credit for the child's entry), task construction, and the liveness,
+// different — before returning), task construction, and the liveness,
 // count, taskgroup, and parent-children bookkeeping.
-func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) (t *Task, prepaid bool) {
+func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) *Task {
 	if r.thr != nil {
-		tc.worker, prepaid = r.thr.Reserve(tc.worker, r.sch)
+		tc.worker = r.thr.Reserve(tc.worker, r.sch)
 	}
-	t = r.newTask(tc.task, spec, tc.worker)
+	t := r.newTask(tc.task, spec, tc.worker)
 	if r.v != nil && r.cfg.VirtualSubmitCost > 0 {
 		tc.task.vCreate += r.cfg.VirtualSubmitCost
 		t.vArrival = r.v.now + tc.task.vCreate
@@ -228,29 +227,21 @@ func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) (t *Task, prepaid b
 	tc.task.mu.Lock()
 	tc.task.children++
 	tc.task.mu.Unlock()
-	return t, prepaid
+	return t
 }
 
 // submitLive is the dependency-engine submission path. g/gidx tag the task
 // as a member of a recording graph region (nil outside regions and in
 // replayed regions, whose tasks never reach this path).
 func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx int32) {
-	t, prepaid := r.admitChild(tc, spec)
+	t := r.admitChild(tc, spec)
 	if g != nil {
 		t.greg, t.gidx = g, gidx
 	}
 	t.node = r.eng.NewNode(tc.task.node, spec.Label, t)
 	if r.eng.Register(t.node, r.convertDeps(spec.Deps, tc.worker)) {
-		if prepaid {
-			r.windowEnterReserved()
-		} else {
-			r.windowEnter(1)
-		}
+		r.windowEnter(1)
 		r.enqueue(t, tc.worker)
-	} else if prepaid {
-		// The child deferred on its dependencies — it does not occupy the
-		// window; its eventual dependency-cascade entry is unreserved.
-		r.thr.Refund(tc.worker)
 	}
 }
 
@@ -286,11 +277,11 @@ func (tc *TaskContext) Release(ds ...Dep) {
 	r.dispatchAll(ready, tc.worker)
 }
 
-// windowEnter records n tasks entering the throttle window without a
-// prepaid reservation (dependency-cascade admissions, which never block
-// and may overdraw the bound): the occupancy diagnostic and the window's
-// own accounting move together — every entry point must use this helper
-// (or windowEnterReserved) so the two counters cannot drift.
+// windowEnter records n tasks entering the throttle window (ready
+// submissions, and dependency-cascade admissions, which never block and
+// may overdraw the bound): the occupancy diagnostic and the window's own
+// accounting move together — every entry point must use this helper so the
+// two counters cannot drift.
 func (r *Runtime) windowEnter(n int64) {
 	r.open.Add(n)
 	if r.thr != nil {
@@ -298,25 +289,15 @@ func (r *Runtime) windowEnter(n int64) {
 	}
 }
 
-// windowEnterReserved records one window entry paid for by a prepaid
-// Reserve in Submit.
-func (r *Runtime) windowEnterReserved() {
-	r.open.Add(1)
-	if r.thr != nil {
-		r.thr.EnteredReserved()
-	}
-}
-
 // taskStarted retires the task from the throttle window (it is now
-// executing, no longer "instantiated ahead"). worker is the starting
-// worker (-1 in virtual mode, whose window is inert).
-func (r *Runtime) taskStarted(t *Task, worker int) {
+// executing, no longer "instantiated ahead").
+func (r *Runtime) taskStarted(t *Task) {
 	if t.parent == nil {
 		return
 	}
 	r.open.Add(-1)
 	if r.thr != nil {
-		r.thr.Started(worker)
+		r.thr.Started()
 	}
 }
 

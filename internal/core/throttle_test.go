@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -9,10 +11,6 @@ import (
 	"repro/internal/throttle"
 )
 
-// throttleImpls are the window implementations every throttle test runs
-// under: the mutex+cond reference and the sharded token bucket.
-var throttleImpls = []throttle.Kind{throttle.KindLocked, throttle.KindSharded}
-
 // TestThrottleNoDeadlockWithWeakNesting is a regression test: the throttle
 // window must count only dependency-ready tasks. If it counted every
 // instantiated task, this program could deadlock — a child of the second
@@ -20,36 +18,34 @@ var throttleImpls = []throttle.Kind{throttle.KindLocked, throttle.KindSharded}
 // outer task's body finishes, while that body is blocked in the throttle
 // because the waiting child fills the window.
 func TestThrottleNoDeadlockWithWeakNesting(t *testing.T) {
-	for _, impl := range throttleImpls {
-		t.Run(impl.String(), func(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {
-				for _, workers := range []int{1, 2, 4} {
-					rt := New(Config{Workers: workers, ThrottleOpenTasks: 1, ThrottleImpl: impl})
-					d := rt.NewData("x", 100, 8)
-					var ran atomic.Int64
-					outer := func(lbl string) TaskSpec {
-						return TaskSpec{
-							Label:    lbl,
-							WeakWait: true,
-							Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: 0, Hi: 100}}}},
-							Body: func(tc *TaskContext) {
-								for i := int64(0); i < 4; i++ {
-									tc.Submit(TaskSpec{
-										Label: lbl + "-leaf",
-										Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: i * 25, Hi: (i + 1) * 25}}}},
-										Body:  func(*TaskContext) { ran.Add(1) },
-									})
-								}
-							},
-						}
+				rt := New(Config{Workers: workers, ThrottleOpenTasks: 1})
+				d := rt.NewData("x", 100, 8)
+				var ran atomic.Int64
+				outer := func(lbl string) TaskSpec {
+					return TaskSpec{
+						Label:    lbl,
+						WeakWait: true,
+						Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: 0, Hi: 100}}}},
+						Body: func(tc *TaskContext) {
+							for i := int64(0); i < 4; i++ {
+								tc.Submit(TaskSpec{
+									Label: lbl + "-leaf",
+									Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: i * 25, Hi: (i + 1) * 25}}}},
+									Body:  func(*TaskContext) { ran.Add(1) },
+								})
+							}
+						},
 					}
-					rt.Run(func(tc *TaskContext) {
-						tc.Submit(outer("t1"))
-						tc.Submit(outer("t2"))
-					})
-					if got := ran.Load(); got != 8 {
-						t.Fatalf("workers=%d: ran %d leaves, want 8", workers, got)
-					}
+				}
+				rt.Run(func(tc *TaskContext) {
+					tc.Submit(outer("t1"))
+					tc.Submit(outer("t2"))
+				})
+				if got := ran.Load(); got != 8 {
+					t.Fatalf("iter %d: ran %d leaves, want 8", iter, got)
 				}
 			}
 		})
@@ -57,13 +53,14 @@ func TestThrottleNoDeadlockWithWeakNesting(t *testing.T) {
 }
 
 // TestThrottleWindowBoundsReadyBacklog checks the throttle actually bounds
-// the ready backlog: with a window of 4 and slow chain-free tasks, the
-// scheduler queue length can never exceed the window.
+// the ready backlog on every ready pool: with a window of 4 and slow
+// chain-free tasks, the scheduler queue length can never exceed the window.
 func TestThrottleWindowBoundsReadyBacklog(t *testing.T) {
 	const window = 4
-	for _, impl := range throttleImpls {
-		t.Run(impl.String(), func(t *testing.T) {
-			rt := New(Config{Workers: 2, ThrottleOpenTasks: window, ThrottleImpl: impl})
+	pools := []sched.PoolKind{sched.PoolCentral, sched.PoolShardedCentral, sched.PoolStealing, sched.PoolLockedStealing}
+	for _, pool := range pools {
+		t.Run(pool.String(), func(t *testing.T) {
+			rt := New(Config{Workers: 2, ThrottleOpenTasks: window, ReadyPool: pool})
 			var maxOpen atomic.Int64
 			rt.Run(func(tc *TaskContext) {
 				for i := 0; i < 200; i++ {
@@ -74,8 +71,8 @@ func TestThrottleWindowBoundsReadyBacklog(t *testing.T) {
 					}})
 				}
 			})
-			// The submitter may overshoot by one (check-then-submit), and the
-			// two running tasks are already out of the window.
+			// The submitter may overshoot by one (check-then-submit), and
+			// the two running tasks are already out of the window.
 			if maxOpen.Load() > window+1 {
 				t.Fatalf("ready backlog reached %d, want <= %d", maxOpen.Load(), window+1)
 			}
@@ -83,10 +80,10 @@ func TestThrottleWindowBoundsReadyBacklog(t *testing.T) {
 	}
 }
 
-// TestThrottleImplAutoResolution checks the kind plumbing: Auto builds the
-// sharded window in real mode, virtual mode builds none, and an
-// unthrottled runtime builds none.
-func TestThrottleImplAutoResolution(t *testing.T) {
+// TestThrottleWindowConstruction checks the window plumbing: a throttled
+// real-mode runtime builds a window of the configured bound, virtual mode
+// builds none, and an unthrottled runtime builds none.
+func TestThrottleWindowConstruction(t *testing.T) {
 	if rt := New(Config{Workers: 2, ThrottleOpenTasks: 8}); rt.thr == nil {
 		t.Error("throttled real-mode runtime has no window")
 	} else if rt.thr.Limit() != 8 {
@@ -101,82 +98,104 @@ func TestThrottleImplAutoResolution(t *testing.T) {
 }
 
 // TestThrottleStatsExposed checks the runtime surfaces the window's
-// diagnostic counters: a contended sharded window must report borrows (the
-// token-bucket batch refills that amortize the global balance traffic).
+// diagnostic counters. With one worker and a window of one, the root body
+// holds the only worker token, so its first child stays in the window and
+// the second submit must park (yielding the token to run the first).
 func TestThrottleStatsExposed(t *testing.T) {
-	rt := New(Config{Workers: 4, ThrottleOpenTasks: 64, ThrottleImpl: throttle.KindSharded})
+	rt := New(Config{Workers: 1, ThrottleOpenTasks: 1})
 	rt.Run(func(tc *TaskContext) {
 		for i := 0; i < 500; i++ {
 			tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {}})
 		}
 	})
-	if st := rt.ThrottleStats(); st.Borrows == 0 {
-		t.Errorf("sharded window reported no borrows: %+v", st)
+	if st := rt.ThrottleStats(); st.Parks == 0 {
+		t.Errorf("full window reported no parks: %+v", st)
 	}
 	if st := New(Config{Workers: 2}).ThrottleStats(); st != (throttle.Stats{}) {
 		t.Errorf("unthrottled runtime reported non-zero throttle stats: %+v", st)
 	}
 }
 
-// TestThrottleShardedStackStress combines every sharded subsystem — the
-// per-data-object dependency engine, the work-stealing ready pool, and the
-// token-bucket throttle — under a tight window with nested weak tasks,
-// dependency chains (deferred children exercising the Refund path), and
-// in-body taskwaits (worker-identity churn across the throttle's token
-// round-trip). Run with -race this is the integration stress for the
-// sharded runtime stack.
-func TestThrottleShardedStackStress(t *testing.T) {
+// TestThrottleDrainCheckReportsLeaks checks the Debug drain check catches
+// both directions of a throttle accounting slip: an entry whose start was
+// dropped (a credit never returned) and a start counted twice.
+func TestThrottleDrainCheckReportsLeaks(t *testing.T) {
+	rt := New(Config{Workers: 2, ThrottleOpenTasks: 4, Debug: true})
+	if err := rt.RunChecked(func(tc *TaskContext) {
+		tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {}})
+	}); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	rt.thr.Entered(1)
+	if err := rt.runErr(); err == nil || !strings.Contains(err.Error(), "1 open tasks, 3 of 4 credits free") {
+		t.Errorf("dropped start: runErr = %v, want the throttle leak reported", err)
+	}
+	rt.thr.Started()
+	rt.thr.Started()
+	if err := rt.runErr(); err == nil || !strings.Contains(err.Error(), "-1 open tasks, 5 of 4 credits free") {
+		t.Errorf("double start: runErr = %v, want the throttle leak reported", err)
+	}
+}
+
+// TestThrottleStackStress combines the throttle window with the sharded
+// subsystems — the per-data-object dependency engine and the work-stealing
+// ready pool — under a tight window with nested weak tasks, dependency
+// chains (deferred children that enter the window only through a
+// completion cascade), and in-body taskwaits (worker-identity churn across
+// the throttle's token round-trip). Run with -race this is the integration
+// stress for the throttled runtime stack.
+func TestThrottleStackStress(t *testing.T) {
 	iters, outers := 30, 8
 	if testing.Short() {
 		iters, outers = 6, 6
 	}
-	for iter := 0; iter < iters; iter++ {
-		for _, window := range []int{1, 3, 16} {
-			rt := New(Config{
-				Workers:           4,
-				ThrottleOpenTasks: window,
-				ThrottleImpl:      throttle.KindSharded,
-				DepEngine:         deps.EngineSharded,
-				ReadyPool:         sched.PoolStealing,
-				Debug:             true,
-			})
-			d := rt.NewData("x", int64(outers*64), 8)
-			var ran atomic.Int64
-			err := rt.RunChecked(func(tc *TaskContext) {
-				for o := 0; o < outers; o++ {
-					lo := int64(o * 64)
-					tc.Submit(TaskSpec{
-						Label:    "outer",
-						WeakWait: true,
-						Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: lo, Hi: lo + 64}}}},
-						Body: func(tc *TaskContext) {
-							// A serial chain: every leaf after the first is
-							// deferred at submit (Refund path), then readied
-							// by a completion cascade (overdraw path).
-							for i := int64(0); i < 6; i++ {
-								tc.Submit(TaskSpec{
-									Label: "leaf",
-									Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: lo, Hi: lo + 64}}}},
-									Body:  func(*TaskContext) { ran.Add(1) },
-								})
-							}
-							if tc.Depth()%2 == 1 {
-								tc.Taskwait()
-							}
-						},
-					})
+	for _, window := range []int{1, 3, 16} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			for iter := 0; iter < iters; iter++ {
+				rt := New(Config{
+					Workers:           4,
+					ThrottleOpenTasks: window,
+					DepEngine:         deps.EngineSharded,
+					ReadyPool:         sched.PoolStealing,
+					Debug:             true,
+				})
+				d := rt.NewData("x", int64(outers*64), 8)
+				var ran atomic.Int64
+				err := rt.RunChecked(func(tc *TaskContext) {
+					for o := 0; o < outers; o++ {
+						lo := int64(o * 64)
+						tc.Submit(TaskSpec{
+							Label:    "outer",
+							WeakWait: true,
+							Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: lo, Hi: lo + 64}}}},
+							Body: func(tc *TaskContext) {
+								// A serial chain: every leaf after the first is
+								// deferred at submit (no window entry), then
+								// readied by a completion cascade (overdraw path).
+								for i := int64(0); i < 6; i++ {
+									tc.Submit(TaskSpec{
+										Label: "leaf",
+										Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: lo, Hi: lo + 64}}}},
+										Body:  func(*TaskContext) { ran.Add(1) },
+									})
+								}
+								if tc.Depth()%2 == 1 {
+									tc.Taskwait()
+								}
+							},
+						})
+					}
+				})
+				if err != nil {
+					t.Fatalf("iter %d: %v", iter, err)
 				}
-			})
-			if err != nil {
-				t.Fatalf("window=%d: %v", window, err)
+				if got, want := ran.Load(), int64(outers*6); got != want {
+					t.Fatalf("iter %d: ran %d leaves, want %d", iter, got, want)
+				}
+				if st := rt.ThrottleStats(); window == 1 && st.Parks == 0 && iter == 0 {
+					t.Logf("window=1 run recorded no parks (timing-dependent)")
+				}
 			}
-			if got, want := ran.Load(), int64(outers*6); got != want {
-				t.Fatalf("window=%d: ran %d leaves, want %d", window, got, want)
-			}
-			if st := rt.ThrottleStats(); window == 1 && st.Parks == 0 && iter == 0 {
-				t.Logf("window=1 run recorded no parks (timing-dependent)")
-			}
-			ran.Store(0)
-		}
+		})
 	}
 }

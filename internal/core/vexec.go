@@ -165,7 +165,7 @@ done:
 // the body runs now (creating children), and completion fires after the
 // task's cost plus its accumulated creation cost.
 func (r *Runtime) startVirtualTask(t *Task, w int) {
-	r.taskStarted(t, -1)
+	r.taskStarted(t)
 	v := r.v
 	if r.caches != nil {
 		r.feedCache(t, w)

@@ -3,12 +3,13 @@ package core
 // Stall watchdog (Config.Watchdog): a low-overhead liveness monitor for the
 // runtime's lock-free admission protocols.
 //
-// The sharded ready pools and the sharded throttle window both close their
-// idle protocols Dekker-style: one side publishes (a queued item, a parked
-// waiter) and rechecks, the other side publishes (a retired token, a
-// returned credit) and rechecks. A bug in either recheck drops a wakeup,
-// and the failure mode is always the same *signature*: a runnable thing
-// and an idle resource coexist indefinitely —
+// The sharded ready pools close their idle protocols Dekker-style: one side
+// publishes (a queued item, a parked waiter) and rechecks, the other side
+// publishes (a retired token) and rechecks; the throttle window's parked
+// reservers rely on every task start broadcasting to them. A bug in any of
+// these drops a wakeup, and the failure mode is always the same
+// *signature*: a runnable thing and an idle resource coexist
+// indefinitely —
 //
 //   - queued tasks alongside free worker tokens,
 //   - blocked Acquire calls alongside free worker tokens,

@@ -463,7 +463,7 @@ var raceEnabled = false
 // TestMemPoolW1Parity is the regression guard on the uncontended case: the
 // pooled engine's free-list hops must not cost materially more than plain
 // allocation when there is no GC pressure to win back. Mirrors
-// TestSchedW1Parity / TestThrottleW1Parity.
+// TestSchedW1Parity.
 func TestMemPoolW1Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard; skipped in short mode")

@@ -32,7 +32,6 @@ type ChaosGroup struct {
 var ChaosGroups = []ChaosGroup{
 	{Name: "off"},
 	{Name: "sched", Sites: []chaos.Site{chaos.SchedStealCAS, chaos.SchedTokenRetire, chaos.SchedDekkerRecheck}},
-	{Name: "throttle", Sites: []chaos.Site{chaos.ThrottleCreditSteal, chaos.ThrottleBatchWake}},
 	{Name: "deps", Sites: []chaos.Site{chaos.DepsCascade, chaos.DepsPinRelease}},
 	{Name: "mempool", Sites: []chaos.Site{chaos.MempoolRefill}},
 	{Name: "replay", Sites: []chaos.Site{chaos.ReplayInvalidate}},

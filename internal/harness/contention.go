@@ -253,8 +253,8 @@ func SchedBench(mk SchedPoolMaker, w, ops int) (BenchCounters, int64) {
 // nothing but the window itself, so the only serialization is the
 // window's own synchronization. The second return value is the window's
 // parked-submitter count.
-func ThrottleBench(kind throttle.Kind, w, ops, window int) (BenchCounters, int64) {
-	win := throttle.New(kind, window, w)
+func ThrottleBench(w, ops, window int) (BenchCounters, int64) {
+	win := throttle.New(window)
 	perW := ops / w
 	var wg sync.WaitGroup
 	wait0 := mutexWait()
@@ -266,13 +266,9 @@ func ThrottleBench(kind throttle.Kind, w, ops, window int) (BenchCounters, int64
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				_, prepaid := win.Reserve(g, nil)
-				if prepaid {
-					win.EnteredReserved()
-				} else {
-					win.Entered(1)
-				}
-				win.Started(g)
+				win.Reserve(g, nil)
+				win.Entered(1)
+				win.Started()
 			}
 		}(g)
 	}

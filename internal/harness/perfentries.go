@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/deps"
 	"repro/internal/mempool"
-	"repro/internal/throttle"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -126,15 +125,14 @@ func PerfEntries(m PerfMatrix) []PerfEntry {
 				})
 			})
 		}
-		for _, kind := range []throttle.Kind{throttle.KindLocked, throttle.KindSharded} {
-			kind := kind
-			add(fmt.Sprintf("throttle/%s/w%d", kind, w), "ns/op", func() float64 {
-				return atWidth(w, func() float64 {
-					c, _ := ThrottleBench(kind, w, throttleOps, w)
-					return float64(c.Wall) / float64(c.Ops)
-				})
+		// The "locked" name predates the single window and keeps the
+		// committed history comparable.
+		add(fmt.Sprintf("throttle/locked/w%d", w), "ns/op", func() float64 {
+			return atWidth(w, func() float64 {
+				c, _ := ThrottleBench(w, throttleOps, w)
+				return float64(c.Wall) / float64(c.Ops)
 			})
-		}
+		})
 		for _, v := range []ReplayVariant{ReplayNestWeak, ReplayLiveGraph, ReplayFrozen} {
 			v := v
 			add(fmt.Sprintf("replay/%s/w%d", v, w), "us/iter", func() float64 {

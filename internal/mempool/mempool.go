@@ -50,8 +50,8 @@ const (
 	KindAuto Kind = iota
 	// KindReference is the allocate-always baseline: every lifecycle
 	// object is heap-allocated and left to the garbage collector. Kept as
-	// the differential reference, mirroring the global dependency engine,
-	// the single-lock ready pools, and the locked throttle window.
+	// the differential reference, mirroring the global dependency engine
+	// and the single-lock ready pools.
 	KindReference
 	// KindPooled recycles task-lifecycle objects through the typed free
 	// lists of this package.

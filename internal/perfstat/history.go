@@ -79,12 +79,15 @@ func LoadHistory(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// LastComparable returns the newest record with the same Quick class, or
-// nil — a reduced-op smoke run must never gate against a full run.
-func LastComparable(recs []Record, quick bool) *Record {
+// LastComparable returns the newest record taken like run — the same
+// Quick class, GOMAXPROCS and Go version — or nil. A reduced-op smoke run
+// must never gate against a full run, nor a run at one width or on one
+// toolchain against another.
+func LastComparable(recs []Record, run Record) *Record {
 	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Quick == quick {
-			return &recs[i]
+		r := &recs[i]
+		if r.Quick == run.Quick && r.MaxProcs == run.MaxProcs && r.Go == run.Go {
+			return r
 		}
 	}
 	return nil

@@ -284,10 +284,12 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 		t.Errorf("entries not sorted: %+v", recs[0].Entries)
 	}
 	// Quick and full records never gate against each other.
-	if last := LastComparable(recs, false); last == nil || last.Commit != "aaa" {
+	host := Record{Go: "go1.24", MaxProcs: 4}
+	if last := LastComparable(recs, host); last == nil || last.Commit != "aaa" {
 		t.Errorf("LastComparable(full) = %+v, want commit aaa", last)
 	}
-	if last := LastComparable(recs, true); last == nil || last.Commit != "bbb" {
+	host.Quick = true
+	if last := LastComparable(recs, host); last == nil || last.Commit != "bbb" {
 		t.Errorf("LastComparable(quick) = %+v, want commit bbb", last)
 	}
 	if e, ok := recs[0].Entry("z/last"); !ok || e.Mean != 2 {
@@ -295,5 +297,28 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 	}
 	if _, ok := recs[0].Entry("nope"); ok {
 		t.Errorf("Entry lookup found a missing name")
+	}
+}
+
+// TestLastComparableMatchesHost checks the gate baseline is taken on a
+// comparable host: a record at another GOMAXPROCS or Go version is never
+// returned, even when it is the newest, and the newest same-host record
+// is.
+func TestLastComparableMatchesHost(t *testing.T) {
+	recs := []Record{
+		{Commit: "same-host", Go: "go1.24", MaxProcs: 2},
+		{Commit: "other-go", Go: "go1.23", MaxProcs: 2},
+		{Commit: "one-proc", Go: "go1.24", MaxProcs: 1},
+	}
+	run := Record{Go: "go1.24", MaxProcs: 2}
+	if last := LastComparable(recs, run); last == nil || last.Commit != "same-host" {
+		t.Errorf("LastComparable(2 procs) = %+v, want commit same-host", last)
+	}
+	if last := LastComparable(recs[1:], run); last != nil {
+		t.Errorf("LastComparable(2 procs) = %+v, want nil: no record shares the host", last)
+	}
+	run.MaxProcs = 1
+	if last := LastComparable(recs, run); last == nil || last.Commit != "one-proc" {
+		t.Errorf("LastComparable(1 proc) = %+v, want commit one-proc", last)
 	}
 }

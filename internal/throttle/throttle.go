@@ -12,52 +12,22 @@
 // be dependency-blocked on fragments that release only when its blocked
 // submitter's own body finishes.)
 //
-// Two implementations share the Window contract and are driven over
-// identical randomized schedules by the differential tests in this
-// package:
-//
-//   - Locked: one mutex + condition variable. Every Started broadcast
-//     serializes on the mutex, re-centralizing the contention the sharded
-//     dependency engine and ready pools removed; kept as the reference.
-//   - Sharded: a token-bucket admission window. The bound is a global
-//     atomic credit balance; each worker caches a small batch of borrowed
-//     credits so the common Reserve is one uncontended CAS on its own
-//     cache line, and blocked submitters park on per-shard wait lists. A
-//     Dekker-style publish-then-recheck protocol (the same idiom as the
-//     sharded ready pools' idle protocol) closes the lost-wakeup window
-//     between a parking submitter and a completion that frees slots.
+// The window is an atomic occupancy counter with a mutex + condition
+// variable slow path: Reserve checks the counter and returns at once while
+// the window has room, and cond-waits above the bound; every Started
+// broadcasts under the mutex.
 package throttle
 
-// Kind selects a Window implementation (core.Config.ThrottleImpl).
-type Kind uint8
-
-const (
-	// KindAuto lets the runtime pick: the sharded token-bucket window in
-	// real mode. (Virtual mode is a sequential simulation and never blocks
-	// submitters, so it constructs no window at all.)
-	KindAuto Kind = iota
-	// KindLocked is the single mutex + condvar reference window.
-	KindLocked
-	// KindSharded is the sharded token-bucket window.
-	KindSharded
+import (
+	"sync"
+	"sync/atomic"
 )
-
-// String returns the kind's depbench/table name.
-func (k Kind) String() string {
-	switch k {
-	case KindLocked:
-		return "locked"
-	case KindSharded:
-		return "sharded"
-	}
-	return "auto"
-}
 
 // Yielder is the worker-token round-trip a blocking reserver performs: it
 // releases its token while parked (so the core runs other ready tasks) and
 // reacquires one before resuming. The runtime passes its ready pool
 // (sched.Queue implements both methods); standalone drivers — benchmarks,
-// the differential tests — may pass nil to park without a token round-trip.
+// the tests — may pass nil to park without a token round-trip.
 type Yielder interface {
 	// Yield releases the worker token while its holder blocks.
 	Yield(worker int)
@@ -67,85 +37,99 @@ type Yielder interface {
 
 // Stats are diagnostic counters of a Window.
 type Stats struct {
-	// Parks counts reservers that exhausted the fast paths and parked
-	// (cond-waited in the locked window, wait-listed in the sharded one).
+	// Parks counts reservers that found the window full and cond-waited.
 	Parks int64
-	// Borrows counts batch refills of a worker's credit cache from the
-	// global balance (sharded only).
-	Borrows int64
-	// Steals counts credits taken from another worker's cache (sharded
-	// only).
-	Steals int64
-	// Handoffs counts credits handed directly to a parked reserver by a
-	// returner (sharded only): the woken reserver owns the credit outright
-	// and resumes without re-contending the credit sources, so a burst of
-	// completions wakes a burst of reservers with no retry traffic.
+	// Handoffs is always 0: the window hands no credits directly to parked
+	// reservers — a woken reserver rechecks the occupancy counter itself.
+	// The field stays for readers of the counter set.
 	Handoffs int64
-	// Reparks counts reservers that woke without an attached credit, lost
-	// the recheck race, and slept again (sharded only). Direct hand-off
-	// exists to keep this at zero in the common case.
-	Reparks int64
 }
 
-// Window is the admission-window contract between the runtime and a
-// throttle implementation.
+// Window is the admission window.
 //
 // The accounting protocol: every task entering the window (becoming
-// dependency-ready) is reported exactly once — either by Entered, or by a
-// preceding Reserve that returned prepaid=true followed by EnteredReserved
-// — and every counted task leaving the window (starting execution) is
-// reported exactly once by Started. A prepaid reservation whose task turns
-// out not to be ready (it deferred on its dependencies) must be returned
-// with Refund. Entered may overdraw the bound: dependency cascades ready
-// tasks regardless of the window, and only submitters block.
-type Window interface {
-	// Reserve blocks until the window has room for one more ready task,
-	// yielding worker through y (if non-nil) while parked. It returns the
-	// worker the caller now holds (reacquired if it parked) and whether the
-	// reservation prepaid a window slot: if true, the caller reports the
-	// task's window entry with EnteredReserved (or returns the slot with
-	// Refund if the task deferred); if false, with Entered.
-	Reserve(worker int, y Yielder) (newWorker int, prepaid bool)
-	// Entered records n tasks entering the window without a prepaid
-	// reservation (dependency-cascade admissions, and every admission of
-	// the locked window). It never blocks and may overdraw the bound.
-	Entered(n int64)
-	// EnteredReserved records a window entry paid for by a prepaid Reserve.
-	EnteredReserved()
-	// Refund returns a prepaid window slot whose task deferred on its
-	// dependencies instead of entering the window.
-	Refund(worker int)
-	// Started records one counted task leaving the window (it began
-	// executing) and wakes parked reservers the freed slot can admit.
-	// worker is the starting worker (the sharded window returns the credit
-	// to that worker's cache); -1 if unknown.
-	Started(worker int)
-	// Open returns the current window occupancy (ready, unstarted tasks).
-	Open() int64
-	// Limit returns the configured window bound.
-	Limit() int
-	// Credits returns the number of window slots currently free to admit
-	// work: the global balance plus any per-worker credit caches, excluding
-	// credits held in flight by reservers between Reserve and Entered. It
-	// may be negative while cascade admissions overdraw the bound. At
-	// quiescence (no open task, no reservation in flight) it equals
-	// Limit() - Open() exactly — the runtime's leak checks assert this —
-	// but under load the counters are read independently and the sum may be
-	// instantaneously inconsistent.
-	Credits() int64
-	// Waiters returns the number of reservers currently parked in Reserve.
-	// Monitors use it with Credits: a parked reserver and a free credit
-	// coexisting past a transient handoff window is a lost wakeup.
-	Waiters() int64
-	// Stats returns a snapshot of the diagnostic counters.
-	Stats() Stats
+// dependency-ready) is reported exactly once by Entered, and every counted
+// task leaving the window (starting execution) is reported exactly once by
+// Started. Submitters call Reserve before their task's Entered; dependency
+// cascades call Entered alone and may overdraw the bound — only submitters
+// block.
+//
+// The bound on submitted entries is check-then-enter: Reserve admits while
+// Open() < Limit(), so s submitters that pass the check on the same free
+// slot can push occupancy to Limit() + s - 1 before their tasks start.
+type Window struct {
+	limit   int64
+	open    atomic.Int64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	parks   atomic.Int64
+	waiting atomic.Int64
 }
 
-// New returns a window of the given kind over limit window slots for the
-// given worker count. KindAuto resolves to the sharded window.
-func New(kind Kind, limit, workers int) Window {
-	if kind == KindLocked {
-		return NewLocked(limit)
+// New creates a window over limit slots.
+func New(limit int) *Window {
+	if limit <= 0 {
+		panic("throttle: limit must be positive")
 	}
-	return NewSharded(limit, workers)
+	w := &Window{limit: int64(limit)}
+	w.cond = sync.NewCond(&w.mu)
+	return w
 }
+
+// Reserve blocks until the window has room for one more ready task,
+// yielding worker through y (if non-nil) while parked. It returns the
+// worker the caller now holds (reacquired if it parked). The caller then
+// reports the task's window entry with Entered if the task is ready.
+func (w *Window) Reserve(worker int, y Yielder) int {
+	if w.open.Load() < w.limit {
+		return worker
+	}
+	w.parks.Add(1)
+	if y != nil {
+		y.Yield(worker)
+	}
+	w.mu.Lock()
+	w.waiting.Add(1)
+	for w.open.Load() >= w.limit {
+		w.cond.Wait()
+	}
+	w.waiting.Add(-1)
+	w.mu.Unlock()
+	if y != nil {
+		worker = y.Acquire()
+	}
+	return worker
+}
+
+// Entered records n tasks entering the window. It never blocks and may
+// overdraw the bound.
+func (w *Window) Entered(n int64) { w.open.Add(n) }
+
+// Started records one counted task leaving the window (it began
+// executing) and wakes the parked reservers.
+func (w *Window) Started() {
+	w.open.Add(-1)
+	w.mu.Lock()
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// Open returns the current window occupancy (ready, unstarted tasks).
+func (w *Window) Open() int64 { return w.open.Load() }
+
+// Limit returns the configured window bound.
+func (w *Window) Limit() int { return int(w.limit) }
+
+// Credits returns the number of window slots currently free to admit
+// work: Limit() - Open(), negative while cascade admissions overdraw the
+// bound. At quiescence it equals Limit() — the runtime's leak checks
+// assert this.
+func (w *Window) Credits() int64 { return w.limit - w.open.Load() }
+
+// Waiters returns the number of reservers currently parked in Reserve.
+// Monitors use it with Credits: a parked reserver and a free credit
+// coexisting past a transient wake-up window is a lost wakeup.
+func (w *Window) Waiters() int64 { return w.waiting.Load() }
+
+// Stats returns a snapshot of the diagnostic counters.
+func (w *Window) Stats() Stats { return Stats{Parks: w.parks.Load()} }

@@ -8,46 +8,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/randtest"
 )
 
-func TestKindString(t *testing.T) {
-	cases := map[Kind]string{KindAuto: "auto", KindLocked: "locked", KindSharded: "sharded"}
-	for k, want := range cases {
-		if got := k.String(); got != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
-		}
-	}
-}
-
-func TestShardPadding(t *testing.T) {
-	if sz := unsafe.Sizeof(tshard{}); sz%64 != 0 {
-		t.Fatalf("tshard is %d bytes, want a multiple of 64 (cache-line padding)", sz)
-	}
-}
-
-func TestNewResolvesKinds(t *testing.T) {
-	if _, ok := New(KindAuto, 8, 2).(*sharded); !ok {
-		t.Error("KindAuto did not resolve to the sharded window")
-	}
-	if _, ok := New(KindLocked, 8, 2).(*locked); !ok {
-		t.Error("KindLocked did not resolve to the locked window")
-	}
-	if _, ok := New(KindSharded, 8, 2).(*sharded); !ok {
-		t.Error("KindSharded did not resolve to the sharded window")
-	}
-}
-
 // TestReservedBound checks the hard bound on reserved-only admission: with
-// every entry paid for by a Reserve, occupancy never exceeds the limit
-// (sharded: credits are conserved) or limit plus the check-then-act
-// overshoot of one slot per concurrent reserver (locked). A goroutine
-// starts its previous entry before reserving the next one — in the real
-// runtime the two sides run on different goroutines (submitters vs
-// workers), and ready tasks always drain — so with a window smaller than
-// the submitter count the slow path parks and wakes throughout.
+// every entry preceded by a Reserve, occupancy never exceeds the limit plus
+// the check-then-enter overshoot of one slot per concurrent reserver. A
+// goroutine starts its previous entry before reserving the next one — in
+// the real runtime the two sides run on different goroutines (submitters
+// vs workers), and ready tasks always drain — so with a window smaller
+// than the submitter count the slow path parks and wakes throughout.
 func TestReservedBound(t *testing.T) {
 	const submitters = 4
 	perG := 2000
@@ -55,73 +26,59 @@ func TestReservedBound(t *testing.T) {
 		perG = 400
 	}
 	for _, limit := range []int{3, 8} {
-		for _, kind := range []Kind{KindLocked, KindSharded} {
-			t.Run(fmt.Sprintf("%v/limit=%d", kind, limit), func(t *testing.T) {
-				w := New(kind, limit, submitters)
-				bound := int64(limit)
-				if kind == KindLocked {
-					bound += submitters - 1 // one check-then-submit overshoot per reserver
-				}
-				var maxOpen atomic.Int64
-				var wg sync.WaitGroup
-				barrier := make(chan struct{})
-				for g := 0; g < submitters; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						<-barrier
-						pending := 0
-						for i := 0; i < perG; i++ {
-							if pending > 0 {
-								w.Started(g)
-								pending--
-							}
-							_, prepaid := w.Reserve(g, nil)
-							if prepaid {
-								w.EnteredReserved()
-							} else {
-								w.Entered(1)
-							}
-							pending++
-							if o := w.Open(); o > maxOpen.Load() {
-								maxOpen.Store(o)
-							}
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			w := New(limit)
+			bound := int64(limit) + submitters - 1 // one check-then-enter overshoot per reserver
+			var maxOpen atomic.Int64
+			var wg sync.WaitGroup
+			barrier := make(chan struct{})
+			for g := 0; g < submitters; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					<-barrier
+					pending := 0
+					for i := 0; i < perG; i++ {
+						if pending > 0 {
+							w.Started()
+							pending--
 						}
-						for ; pending > 0; pending-- {
-							w.Started(g)
+						w.Reserve(g, nil)
+						w.Entered(1)
+						pending++
+						if o := w.Open(); o > maxOpen.Load() {
+							maxOpen.Store(o)
 						}
-					}(g)
-				}
-				close(barrier)
-				wg.Wait()
-				if got := maxOpen.Load(); got > bound {
-					t.Errorf("occupancy reached %d, want <= %d", got, bound)
-				}
-				if got := w.Open(); got != 0 {
-					t.Errorf("Open() = %d at quiescence, want 0", got)
-				}
-			})
-		}
+					}
+					for ; pending > 0; pending-- {
+						w.Started()
+					}
+				}(g)
+			}
+			close(barrier)
+			wg.Wait()
+			if got := maxOpen.Load(); got > bound {
+				t.Errorf("occupancy reached %d, want <= %d", got, bound)
+			}
+			if got := w.Open(); got != 0 {
+				t.Errorf("Open() = %d at quiescence, want 0", got)
+			}
+		})
 	}
 }
 
-// TestDifferentialRandomSchedules drives the locked and sharded windows
-// over identical seeded randomized submit/cascade/refund schedules — the
-// same program both implementations must admit — mirroring the runtime's
+// TestRandomScheduleInvariants drives the window over seeded randomized
+// submit/deferred-submit/cascade schedules, mirroring the runtime's
 // structure: submitter goroutines reserve and enter (and may park), while
 // dedicated drainer goroutines start every window occupant (ready tasks
 // always drain, which is what makes the throttle deadlock-free). For each
-// run it asserts: completion (no deadlock, no lost wakeup), and quiescence
-// counts that match across implementations — identical entry/start totals
-// for the same seed, zero occupancy, and (white box) every sharded credit
-// returned with no waiter left parked.
-func TestDifferentialRandomSchedules(t *testing.T) {
-	type result struct {
-		entered, started int64
-	}
+// run it asserts completion (no deadlock, no lost wakeup), as many starts
+// as entries, and the quiescent window: no occupancy, every credit free,
+// and no reserver left parked.
+func TestRandomScheduleInvariants(t *testing.T) {
 	const submitters = 4
-	run := func(kind Kind, limit int, seed uint64, perG int) result {
-		w := New(kind, limit, submitters)
+	run := func(t *testing.T, limit int, seed uint64, perG int) {
+		w := New(limit)
 		var entered, started atomic.Int64
 		var subs sync.WaitGroup
 		for g := 0; g < submitters; g++ {
@@ -132,17 +89,11 @@ func TestDifferentialRandomSchedules(t *testing.T) {
 				for i := 0; i < perG; i++ {
 					switch rng.IntN(8) {
 					case 0, 1, 2, 3, 4: // throttled submit of a ready child
-						_, prepaid := w.Reserve(g, nil)
-						if prepaid {
-							w.EnteredReserved()
-						} else {
-							w.Entered(1)
-						}
+						w.Reserve(g, nil)
+						w.Entered(1)
 						entered.Add(1)
-					case 5: // throttled submit of a deferred child
-						if _, prepaid := w.Reserve(g, nil); prepaid {
-							w.Refund(g)
-						}
+					case 5: // throttled submit of a deferred child: no entry
+						w.Reserve(g, nil)
 					default: // dependency cascade readies a burst (may overdraw)
 						n := int64(1 + rng.IntN(3))
 						w.Entered(n)
@@ -156,12 +107,12 @@ func TestDifferentialRandomSchedules(t *testing.T) {
 		var drainers sync.WaitGroup
 		for d := 0; d < 2; d++ {
 			drainers.Add(1)
-			go func(d int) {
+			go func() {
 				defer drainers.Done()
 				for {
 					if s := started.Load(); s < entered.Load() {
 						if started.CompareAndSwap(s, s+1) {
-							w.Started(d)
+							w.Started()
 						}
 						continue
 					}
@@ -174,89 +125,73 @@ func TestDifferentialRandomSchedules(t *testing.T) {
 					}
 					runtime.Gosched()
 				}
-			}(d)
+			}()
 		}
 		done := make(chan struct{})
 		go func() { subs.Wait(); close(stop); drainers.Wait(); close(done) }()
 		select {
 		case <-done:
 		case <-time.After(60 * time.Second):
-			panic(fmt.Sprintf("%v window deadlocked (limit=%d seed=%d)", kind, limit, seed))
+			t.Fatalf("limit=%d seed=%d: window deadlocked", limit, seed)
+		}
+		if e, s := entered.Load(), started.Load(); e != s {
+			t.Errorf("limit=%d seed=%d: %d entries vs %d starts", limit, seed, e, s)
 		}
 		if got := w.Open(); got != 0 {
-			panic(fmt.Sprintf("%v window: Open() = %d at quiescence, want 0", kind, got))
+			t.Errorf("limit=%d seed=%d: Open() = %d at quiescence, want 0", limit, seed, got)
 		}
-		if s, ok := w.(*sharded); ok {
-			credits := s.balance.Load()
-			for i := range s.shards {
-				credits += s.shards[i].cache.Load()
-			}
-			if credits != int64(limit) {
-				panic(fmt.Sprintf("sharded window leaked credits: %d live, want %d", credits, limit))
-			}
-			if nw := s.nwait.Load(); nw != 0 {
-				panic(fmt.Sprintf("sharded window: %d waiters at quiescence", nw))
-			}
+		if got := w.Credits(); got != int64(w.Limit()) {
+			t.Errorf("limit=%d seed=%d: Credits() = %d at quiescence, want %d", limit, seed, got, w.Limit())
 		}
-		return result{entered: entered.Load(), started: started.Load()}
+		if got := w.Waiters(); got != 0 {
+			t.Errorf("limit=%d seed=%d: %d waiters at quiescence", limit, seed, got)
+		}
 	}
 	perG := 3000
 	if testing.Short() {
 		perG = 600
 	}
 	for _, limit := range []int{1, 2, 7, 64} {
-		for _, s := range randtest.SeedRange(t, 0, 4) {
-			seed := uint64(s)
-			lres := run(KindLocked, limit, seed, perG)
-			sres := run(KindSharded, limit, seed, perG)
-			if lres != sres {
-				t.Errorf("limit=%d seed=%d: quiescence counts diverge: locked=%+v sharded=%+v",
-					limit, seed, lres, sres)
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			for _, s := range randtest.SeedRange(t, 0, 4) {
+				run(t, limit, uint64(s), perG)
 			}
-			if lres.entered != lres.started {
-				t.Errorf("limit=%d seed=%d: %d entries vs %d starts", limit, seed,
-					lres.entered, lres.started)
-			}
-		}
+		})
 	}
 }
 
-// TestParkAndWake forces the slow path: with a window of one, a second
-// reserver must park and a Started must wake it.
+// TestParkAndWake forces the slow path: once `limit` entries fill the
+// window, the next reserver must park and a Started must wake it.
 func TestParkAndWake(t *testing.T) {
-	for _, kind := range []Kind{KindLocked, KindSharded} {
-		t.Run(kind.String(), func(t *testing.T) {
-			w := New(kind, 1, 2)
-			if _, prepaid := w.Reserve(0, nil); prepaid {
-				w.EnteredReserved()
-			} else {
+	for _, limit := range []int{1, 4} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			w := New(limit)
+			for i := 0; i < limit; i++ {
+				w.Reserve(0, nil)
 				w.Entered(1)
+			}
+			if st := w.Stats(); st.Parks != 0 {
+				t.Fatalf("filling the window parked %d reservers, want 0", st.Parks)
 			}
 			got := make(chan struct{})
 			go func() {
-				_, prepaid := w.Reserve(1, nil)
-				if prepaid {
-					w.EnteredReserved()
-				} else {
-					w.Entered(1)
-				}
+				w.Reserve(1, nil)
+				w.Entered(1)
 				close(got)
 			}()
 			// The reserver must park: the window is full.
-			select {
-			case <-got:
-				t.Fatal("second reserver passed a full window")
-			case <-time.After(50 * time.Millisecond):
-			}
-			w.Started(0)
+			waitParked(t, w)
+			w.Started()
 			select {
 			case <-got:
 			case <-time.After(5 * time.Second):
 				t.Fatal("Started did not wake the parked reserver")
 			}
-			w.Started(1)
-			if w.Stats().Parks == 0 {
-				t.Error("Stats().Parks = 0, want at least one park")
+			for i := 0; i < limit; i++ {
+				w.Started()
+			}
+			if st := w.Stats(); st.Parks != 1 || st.Handoffs != 0 {
+				t.Errorf("Stats() = %+v, want exactly one park and no hand-offs", st)
 			}
 			if got := w.Open(); got != 0 {
 				t.Errorf("Open() = %d, want 0", got)
@@ -265,99 +200,108 @@ func TestParkAndWake(t *testing.T) {
 	}
 }
 
-// TestShardedBatchWakeHandsCreditsDirectly pins the batch-wake protocol:
-// a completion burst against a full window hands its freed credits
-// directly to the parked reservers — every wake carries a credit, no woken
-// reserver retries the credit sources, and none re-parks. With K reservers
-// parked before the burst begins, the Handoffs counter must account for
-// every wake and Reparks must stay zero (the retry storm the one-at-a-time
-// wake/recheck protocol used to produce under window pressure).
-func TestShardedBatchWakeHandsCreditsDirectly(t *testing.T) {
-	const parked = 8
-	w := New(KindSharded, 1, 4)
-	// Take the single credit so every later reserver parks.
-	if _, prepaid := w.Reserve(0, nil); !prepaid {
-		t.Fatal("sharded Reserve did not prepay")
+// TestOverdrawBlocksReserve pins the bound under cascade overdraw: while
+// unreserved (cascade) entries hold occupancy at or above the limit, a
+// start that leaves occupancy at the limit must not admit a parked
+// reserver; only the start that frees a real slot may.
+func TestOverdrawBlocksReserve(t *testing.T) {
+	w := New(2)
+	// A dependency cascade readies 4 unreserved tasks: open=4, credits=-2.
+	w.Entered(4)
+	if got := w.Credits(); got != -2 {
+		t.Fatalf("Credits() = %d after overdraw, want -2", got)
 	}
-	w.EnteredReserved()
+	admitted := make(chan struct{})
+	go func() {
+		w.Reserve(0, nil)
+		w.Entered(1)
+		close(admitted)
+	}()
+	waitParked(t, w)
+	// Two starts bring occupancy down to the limit (4 → 2); neither may
+	// admit the parked reserver.
+	w.Started()
+	w.Started()
+	select {
+	case <-admitted:
+		t.Fatal("reserver admitted while occupancy was at the bound")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// The next start frees a real slot.
+	w.Started()
+	select {
+	case <-admitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reserver not admitted after occupancy fell below the bound")
+	}
+	// Retire the last cascade entry and the reserver's own entry.
+	w.Started()
+	w.Started()
+	if got := w.Open(); got != 0 {
+		t.Errorf("Open() = %d, want 0", got)
+	}
+	if got := w.Credits(); got != int64(w.Limit()) {
+		t.Errorf("Credits() = %d, want %d", got, w.Limit())
+	}
+}
+
+// TestParkedReserversAllWake parks a crowd of reservers behind a full
+// window of one and releases them with a single start. Each resumed
+// reserver's task starts in turn, so the wake-up chain must run through
+// every parked reserver without a lost wakeup, and the window must end
+// quiescent with no reserver left parked.
+func TestParkedReserversAllWake(t *testing.T) {
+	const parked = 8
+	w := New(1)
+	// Take the single slot so every later reserver parks.
+	w.Reserve(0, nil)
+	w.Entered(1)
 	var done sync.WaitGroup
 	for i := 0; i < parked; i++ {
 		done.Add(1)
 		go func(i int) {
 			defer done.Done()
-			w.Reserve(i%4, nil)
-			w.EnteredReserved()
-			// Chain the burst: each resumed reserver's task "starts",
-			// freeing the slot for the next parked reserver.
-			w.Started(i % 4)
+			w.Reserve(i, nil)
+			w.Entered(1)
+			w.Started()
 		}(i)
 	}
-	// Wait until all reservers are parked, then start the burst.
 	deadline := time.Now().Add(5 * time.Second)
-	for w.Stats().Parks < parked {
+	for w.Waiters() < parked {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d reservers parked", w.Stats().Parks, parked)
+			t.Fatalf("only %d/%d reservers parked", w.Waiters(), parked)
 		}
 		runtime.Gosched()
 	}
-	w.Started(0)
-	done.Wait()
-	st := w.Stats()
-	if st.Handoffs != parked {
-		t.Errorf("Handoffs = %d, want %d (every wake must carry its credit)", st.Handoffs, parked)
+	w.Started()
+	finished := make(chan struct{})
+	go func() { done.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("wake-up chain stalled: %d reservers still parked", w.Waiters())
 	}
-	if st.Reparks != 0 {
-		t.Errorf("Reparks = %d, want 0 (direct hand-off leaves nothing to retry)", st.Reparks)
+	st := w.Stats()
+	if st.Parks != parked || st.Handoffs != 0 {
+		t.Errorf("Stats() = %+v, want %d parks and no hand-offs", st, parked)
 	}
 	if got := w.Open(); got != 0 {
 		t.Errorf("Open() = %d, want 0", got)
+	}
+	if got := w.Waiters(); got != 0 {
+		t.Errorf("Waiters() = %d, want 0", got)
 	}
 }
 
-// TestShardedOverdrawBlocksHandOff pins the bound under cascade overdraw:
-// while unreserved (cascade) entries hold occupancy above the limit, a
-// returned credit must repay the overdrawn balance — not be handed to a
-// parked reserver, which would admit a submitter the bound should block
-// (and let the window run above its bound indefinitely under pressure).
-// Only once the overdraft is repaid may a start admit the reserver.
-func TestShardedOverdrawBlocksHandOff(t *testing.T) {
-	w := New(KindSharded, 2, 2)
-	// A dependency cascade readies 4 unreserved tasks: open=4, balance=-2.
-	w.Entered(4)
-	admitted := make(chan struct{})
-	go func() {
-		w.Reserve(0, nil)
-		w.EnteredReserved()
-		close(admitted)
-	}()
+// waitParked waits until one reserver is parked in w.
+func waitParked(t *testing.T, w *Window) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for w.Stats().Parks < 1 {
+	for w.Waiters() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("reserver did not park against the overdrawn window")
+			t.Fatalf("no reserver parked (Waiters() = %d)", w.Waiters())
 		}
 		runtime.Gosched()
-	}
-	// Two starts repay the overdraft (balance -2 → 0, open 4 → 2 = limit);
-	// neither may admit the parked reserver.
-	w.Started(0)
-	w.Started(0)
-	select {
-	case <-admitted:
-		t.Fatal("reserver admitted while occupancy was above the bound")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// With the overdraft repaid, the next start frees a real slot.
-	w.Started(0)
-	select {
-	case <-admitted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("reserver not admitted after the overdraft was repaid")
-	}
-	// Retire the last cascade entry and the reserver's own entry.
-	w.Started(0)
-	w.Started(0)
-	if got := w.Open(); got != 0 {
-		t.Errorf("Open() = %d, want 0", got)
 	}
 }
 
@@ -373,13 +317,12 @@ func (y *recordingYielder) Acquire() int     { y.acquires.Add(1); return 0 }
 // exactly once and reacquires exactly once, and that fast-path reserves
 // perform no round-trip at all.
 func TestYielderRoundTrip(t *testing.T) {
-	for _, kind := range []Kind{KindLocked, KindSharded} {
-		t.Run(kind.String(), func(t *testing.T) {
-			w := New(kind, 1, 2)
+	for _, limit := range []int{1, 4} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			w := New(limit)
 			y := &recordingYielder{}
-			if _, prepaid := w.Reserve(0, y); prepaid {
-				w.EnteredReserved()
-			} else {
+			for i := 0; i < limit; i++ {
+				w.Reserve(0, y)
 				w.Entered(1)
 			}
 			if y.yields.Load() != 0 || y.acquires.Load() != 0 {
@@ -390,95 +333,13 @@ func TestYielderRoundTrip(t *testing.T) {
 				w.Reserve(1, y)
 				close(done)
 			}()
-			time.Sleep(20 * time.Millisecond)
-			w.Started(0)
+			waitParked(t, w)
+			w.Started()
 			<-done
 			if y.yields.Load() != 1 || y.acquires.Load() != 1 {
 				t.Errorf("parked Reserve: %d yields, %d acquires; want 1 and 1",
 					y.yields.Load(), y.acquires.Load())
 			}
 		})
-	}
-}
-
-// TestShardedBatchBorrow checks the token-bucket amortization: a worker's
-// second reserve should be served from its credit cache, not the global
-// balance.
-func TestShardedBatchBorrow(t *testing.T) {
-	w := NewSharded(64, 2).(*sharded)
-	w.Reserve(0, nil)
-	if got := w.Stats().Borrows; got != 1 {
-		t.Fatalf("after first reserve: %d borrows, want 1", got)
-	}
-	if got := w.shards[0].cache.Load(); got != w.batch-1 {
-		t.Fatalf("cache holds %d credits after borrow, want %d", got, w.batch-1)
-	}
-	w.Reserve(0, nil)
-	if got := w.Stats().Borrows; got != 1 {
-		t.Errorf("second reserve borrowed again (%d borrows), want cache hit", got)
-	}
-}
-
-// TestShardedOverdraftRepaidBeforeCaching is the regression test for the
-// persistent-overdraft bug: a credit returned while the balance is
-// overdrawn (cascade entries pushed it negative) must repay the balance,
-// not land in a worker cache — a cached credit would admit a reserver
-// while occupancy is still at the bound, and the overdraft would persist
-// through cache/reserve churn, permanently widening the window.
-func TestShardedOverdraftRepaidBeforeCaching(t *testing.T) {
-	const limit = 4
-	w := NewSharded(limit, 2).(*sharded)
-	w.Entered(6) // cascade overdraw: open=6, balance=-2
-	w.Started(0)
-	w.Started(0) // open=4 (at the bound); both credits must repay the balance
-	if got := w.balance.Load(); got != 0 {
-		t.Fatalf("balance = %d after repayment, want 0", got)
-	}
-	for i := range w.shards {
-		if c := w.shards[i].cache.Load(); c != 0 {
-			t.Fatalf("shard %d cached %d credits while occupancy is at the bound", i, c)
-		}
-	}
-	// A reserver must now block: the window is exactly full.
-	admitted := make(chan struct{})
-	go func() {
-		w.Reserve(0, nil)
-		w.EnteredReserved()
-		close(admitted)
-	}()
-	select {
-	case <-admitted:
-		t.Fatal("reserver admitted while occupancy is at the bound")
-	case <-time.After(50 * time.Millisecond):
-	}
-	w.Started(1) // open=3: frees a real slot, wakes the reserver
-	select {
-	case <-admitted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("reserver not admitted after a slot freed")
-	}
-	for w.Open() > 0 {
-		w.Started(0)
-	}
-}
-
-// TestShardedStealFromCache checks a reserver with an empty cache and
-// empty balance can take a credit cached by another worker.
-func TestShardedStealFromCache(t *testing.T) {
-	w := NewSharded(4, 2).(*sharded)
-	// Worker 0 borrows the whole balance into its cache (batch = 1 credit
-	// held + cache), then drains the balance.
-	for w.balance.Load() > 0 {
-		w.Reserve(0, nil)
-		w.EnteredReserved()
-	}
-	// Return one credit to worker 0's cache.
-	w.Started(0)
-	if w.shards[0].cache.Load() == 0 {
-		t.Skip("credit went to the balance; steal path not exercised")
-	}
-	w.Reserve(1, nil)
-	if got := w.Stats().Steals; got == 0 {
-		t.Error("reserver with empty cache and balance did not steal")
 	}
 }

@@ -51,9 +51,6 @@ type Mode struct {
 	SharedCache bool
 	// Throttle bounds live tasks (lookahead-window ablation). 0 = off.
 	Throttle int
-	// ThrottleImpl selects the throttle-window implementation (throttle
-	// ablation; ThrottleAuto picks the sharded token bucket in real mode).
-	ThrottleImpl nanos.ThrottleKind
 	// SubmitCost charges the virtual-mode creator this many cost units per
 	// task instantiation, modeling the runtime's creation overhead (the
 	// single-generator bottleneck of Figure 4). 0 = free creation.
@@ -104,7 +101,6 @@ func (m Mode) config() nanos.Config {
 		Cache:             m.Cache,
 		SharedCache:       m.SharedCache,
 		ThrottleOpenTasks: m.Throttle,
-		ThrottleImpl:      m.ThrottleImpl,
 		Replay:            m.Replay,
 		WorksharingImpl:   m.Worksharing,
 		VirtualSubmitCost: m.SubmitCost,

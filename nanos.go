@@ -58,6 +58,13 @@
 // point. TaskwaitParking restores the classic park-on-channel reference;
 // Runtime.TaskwaitStats reports parks, handoffs, and steal-resumes.
 //
+// Config.ThrottleOpenTasks bounds how far task instantiation runs ahead
+// of execution (§III): a submitter that finds the window of ready,
+// unstarted tasks full yields its worker token and waits until a task
+// starts. The window is one atomic counter with a mutex + condition
+// variable slow path; it has no implementation selector.
+// Runtime.ThrottleStats reports its parks.
+//
 // A minimal program:
 //
 //	rt := nanos.New(nanos.Config{Workers: 4})
@@ -115,8 +122,8 @@ type (
 	// TaskError reports a panic recovered from a task body; returned by
 	// Runtime.RunChecked (and re-panicked by Runtime.Run). Either way the
 	// runtime drains to quiescence first: remaining bodies are skipped,
-	// credits refund, pooled objects recycle, and poisoned graph regions
-	// invalidate their recordings.
+	// throttle credits return, pooled objects recycle, and poisoned graph
+	// regions invalidate their recordings.
 	TaskError = core.TaskError
 	// StallReport is one stall-watchdog diagnosis (Config.Watchdog arms
 	// the watchdog, Config.OnStall receives reports as they fire,
@@ -144,9 +151,6 @@ type (
 	// PoolStats exposes ready-pool steal counters, including the
 	// steal-distance histogram over the topology tree.
 	PoolStats = sched.PoolStats
-	// ThrottleKind selects the throttle-window implementation
-	// (Config.ThrottleImpl).
-	ThrottleKind = throttle.Kind
 	// ThrottleStats exposes throttle-window activity counters
 	// (Runtime.ThrottleStats).
 	ThrottleStats = throttle.Stats
@@ -231,19 +235,6 @@ const (
 // TopologyFlat selects the flat steal victim order for Config.Topology —
 // the pre-topology placement, kept as the differential reference.
 var TopologyFlat = sched.TopologyFlat
-
-// Throttle-window kinds for Config.ThrottleImpl (meaningful only with
-// Config.ThrottleOpenTasks > 0).
-const (
-	// ThrottleAuto picks the sharded token-bucket window in real mode
-	// (virtual mode never blocks submitters and builds no window).
-	ThrottleAuto = throttle.KindAuto
-	// ThrottleLocked is the single mutex+cond reference window.
-	ThrottleLocked = throttle.KindLocked
-	// ThrottleSharded is the sharded token-bucket window: a global atomic
-	// credit balance, per-worker credit caches, and per-shard wait lists.
-	ThrottleSharded = throttle.KindSharded
-)
 
 // Memory-management modes for Config.MemPool.
 const (
