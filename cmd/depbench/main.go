@@ -39,7 +39,9 @@
 //     victim order (the reference) and the nearest-first tree walk. The
 //     columns are the steal-distance histogram (sibling / in-domain /
 //     cross-domain) and the cross-group steal rate, which the tree rows
-//     must push toward the sibling level.
+//     must push toward the sibling level. GOMAXPROCS is capped at the
+//     host's CPU count (harness.LocalityProcs, the procs column): with
+//     more Ps than CPUs the rate measures thread preemption instead.
 //   - chaos: the fault-injection robustness table. The mixed-construct
 //     workload (graph regions, nested taskwait, worksharing, taskgroups)
 //     runs once per subsystem group of failpoint sites (internal/chaos)
@@ -450,10 +452,11 @@ func main() {
 		}
 		ops, spin := *localityOpsFlag, *localitySpinFlag
 		em.printf("steal locality (per-group work piles over a two-domain topology)\n")
-		em.printf("%-6s %8s %10s %12s %10s %11s %8s %8s %8s %7s\n",
-			"topo", "workers", "ops", "wall", "Mops/s", "steals/kop", "sib%", "dom%", "rem%", "cross%")
+		em.printf("%-6s %8s %6s %10s %12s %10s %11s %8s %8s %8s %7s\n",
+			"topo", "workers", "procs", "ops", "wall", "Mops/s", "steals/kop", "sib%", "dom%", "rem%", "cross%")
 		for _, w := range workers {
-			withGOMAXPROCS(w, func() {
+			procs := harness.LocalityProcs(w)
+			withGOMAXPROCS(procs, func() {
 				for _, tp := range harness.LocalityTopologies {
 					harness.LocalityBench(tp.Topo, w, ops/10+1, spin) // warm-up
 					runtime.GC()
@@ -464,14 +467,14 @@ func main() {
 						}
 						return 100 * float64(res.StealLevels[lvl]) / float64(res.Steals)
 					}
-					em.printf("%-6s %8d %10d %12s %10.2f %11.1f %7.1f%% %7.1f%% %7.1f%% %6.1f%%\n",
-						tp.Name, w, res.Ops, res.Wall.Round(time.Millisecond),
+					em.printf("%-6s %8d %6d %10d %12s %10.2f %11.1f %7.1f%% %7.1f%% %7.1f%% %6.1f%%\n",
+						tp.Name, w, procs, res.Ops, res.Wall.Round(time.Millisecond),
 						float64(res.Ops)/1e6/res.Wall.Seconds(),
 						1000*float64(res.Steals)/float64(res.Ops),
 						pct(sched.LevelSibling), pct(sched.LevelDomain), pct(sched.LevelRemote),
 						res.CrossRate*100)
 					em.add("locality", tp.Name, w,
-						map[string]int64{"ops": int64(ops), "spin": int64(spin)},
+						map[string]int64{"ops": int64(ops), "spin": int64(spin), "procs": int64(procs)},
 						map[string]float64{
 							"wall_ns": float64(res.Wall), "ops": float64(res.Ops),
 							"mops":           float64(res.Ops) / 1e6 / res.Wall.Seconds(),

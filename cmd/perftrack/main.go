@@ -114,6 +114,7 @@ func collect(widths []int, quick bool, opts perfstat.CollectOptions, commit stri
 		Time:     time.Now().UTC().Format(time.RFC3339),
 		Go:       runtime.Version(),
 		MaxProcs: runtime.GOMAXPROCS(0),
+		CPUModel: perfstat.HostCPUModel(),
 		Quick:    quick,
 	}
 	fmt.Printf("perftrack: %d entries, %d reps each (max CV %.0f%%), commit %s\n",
@@ -161,8 +162,8 @@ func gate(path string, rec perfstat.Record, policy perfstat.GatePolicy) bool {
 	}
 	base := perfstat.LastComparable(recs, rec)
 	if base == nil {
-		fmt.Printf("no comparable record in %s (quick=%v maxprocs=%d %s); gate skipped\n",
-			path, rec.Quick, rec.MaxProcs, rec.Go)
+		fmt.Printf("no comparable record in %s (quick=%v maxprocs=%d %s cpu=%q); gate skipped\n",
+			path, rec.Quick, rec.MaxProcs, rec.Go, rec.CPUModel)
 		return true
 	}
 	fmt.Printf("gate: comparing against %s (%s)\n", base.Commit, base.Time)

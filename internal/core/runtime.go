@@ -207,7 +207,8 @@ type Config struct {
 	// cache line; off, it is one nil check. See watchdog.go for the
 	// detection and false-positive policy.
 	Watchdog bool
-	// WatchdogInterval is the monitor's sampling period (default 2ms).
+	// WatchdogInterval is the monitor's sampling period (default
+	// WatchdogBound/8).
 	WatchdogInterval time.Duration
 	// WatchdogBound is how long a stall signature must persist — with
 	// frozen heartbeats across every sample — before a report fires

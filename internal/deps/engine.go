@@ -242,7 +242,7 @@ func (c *depCore) registerSpec(n *Node, spec Spec) {
 			continue
 		}
 		overlap := false
-		am.VisitRange(iv, func(regions.Interval, **fragment) { overlap = true })
+		am.VisitClipped(iv, func(regions.Interval, *fragment) { overlap = true })
 		if overlap {
 			panic(fmt.Sprintf("deps: task %q declares overlapping depend entries over data %d %v", n.label, spec.Data, iv))
 		}
@@ -395,7 +395,7 @@ func (c *depCore) linkAfter(pred, g *fragment, iv regions.Interval, dR, dW int32
 		// rejected at registration, so this only guards engine internals.
 		return
 	}
-	pred.state.VisitRange(iv, func(pIv regions.Interval, ps *pieceState) {
+	pred.state.VisitClipped(iv, func(pIv regions.Interval, ps pieceState) {
 		if ps.released {
 			return
 		}
@@ -421,13 +421,12 @@ func (c *depCore) inbound(n *Node, f *fragment, cIv regions.Interval, isWrite bo
 	if am == nil {
 		return
 	}
-	am.VisitRange(cIv, func(aIv regions.Interval, pfp **fragment) {
-		pf := *pfp
+	am.VisitClipped(cIv, func(aIv regions.Interval, pf *fragment) {
 		if isWrite && pf.typ() == In {
 			panic(fmt.Sprintf("deps: task %q writes data %d %v which parent %q covers with a read-only access",
 				n.label, f.data(), aIv, parent.label))
 		}
-		pf.state.VisitRange(aIv, func(pIv regions.Interval, ps *pieceState) {
+		pf.state.VisitClipped(aIv, func(pIv regions.Interval, ps pieceState) {
 			if isWrite {
 				if ps.wSat() {
 					return
@@ -489,8 +488,8 @@ func (c *depCore) releaseSpec(n *Node, spec Spec) {
 			iv regions.Interval
 		}
 		var pairs []pair
-		am.VisitRange(iv, func(aIv regions.Interval, pfp **fragment) {
-			pairs = append(pairs, pair{*pfp, aIv})
+		am.VisitClipped(iv, func(aIv regions.Interval, pf *fragment) {
+			pairs = append(pairs, pair{pf, aIv})
 		})
 		for _, p := range pairs {
 			c.handOverOrRelease(n, p.f, p.iv)
@@ -545,17 +544,23 @@ func (c *depCore) markDone(f *fragment, iv regions.Interval) {
 		ps.waitDrain = false
 		c.tryRelease(f, pIv, ps)
 	})
-	f.state.MergeRange(iv, releasedEqual)
+	f.state.MergeRange(iv, piecesEqual)
 }
 
-// releasedEqual merges adjacent fully released pieces: once released, no
-// field of a piece is ever read again (tryRelease normalizes the counters),
-// so all released pieces are interchangeable. Without this coalescing a
-// long-lived fragment — e.g. the whole-range weak access of an outer task —
-// accumulates one map entry per piece-wise release of its subtree and every
-// later split pays a linear shift, turning deep weakwait cascades
-// quadratic.
-func releasedEqual(a, b pieceState) bool { return a.released && b.released }
+// piecesEqual merges adjacent pieces of a fragment whose state is equal,
+// released or not. Like a domain cell (see cellsEqual), a piece only
+// run-length-encodes per-element state: pendR and pendW count the grants
+// each element still awaits, done, waitDrain and released are each
+// element's flags. Every grant, hand-over, drain and release names its
+// interval and splits the piece again where it diverges, so two touching
+// equal pieces behave element for element like one; merging only turns
+// per-piece link, grant, waiter and release events into one event over
+// the union. Released pieces always compare equal: tryRelease normalizes
+// their counters, and no field is read afterwards. Without this
+// coalescing a long-lived fragment — e.g. the whole-range weak access of
+// an outer task — accumulates one entry per grant and release of its
+// subtree, and every later split pays a linear shift.
+func piecesEqual(a, b pieceState) bool { return a == b }
 
 // tryRelease releases the piece if all release conditions hold. Cascade
 // effects are pushed on the event queue.
@@ -565,7 +570,7 @@ func (c *depCore) tryRelease(f *fragment, pIv regions.Interval, ps *pieceState) 
 	}
 	ps.released = true
 	// Normalize the dead piece so adjacent released pieces compare equal
-	// and coalesce (releasedEqual); nothing reads these fields afterwards.
+	// and coalesce (piecesEqual); nothing reads these fields afterwards.
 	ps.pendR, ps.pendW = 0, 0
 	c.stats.Releases++
 	f.relLen += pIv.Len()
@@ -653,7 +658,7 @@ func (c *depCore) handleGrant(f *fragment, iv regions.Interval, dR, dW int32) {
 		}
 		c.tryRelease(f, pIv, ps)
 	})
-	f.state.MergeRange(iv, releasedEqual)
+	f.state.MergeRange(iv, piecesEqual)
 }
 
 func (c *depCore) queueWaiterGrants(waiters []link, pIv regions.Interval) {
@@ -686,28 +691,39 @@ func (c *depCore) handleDomainDec(owner *Node, data DataID, iv regions.Interval,
 			c.queue = append(c.queue, event{kind: evDrain, frag: h, iv: cIv})
 		}
 	})
-	dm.MergeRange(iv, drainedCellsEqual)
+	dm.MergeRange(iv, cellsEqual)
 	if c.mem != nil {
 		// The event's hold on the owner (placed when it was queued) ends.
 		c.mem.ep.unpin(owner, c.mem)
 	}
 }
 
-// drainedCellsEqual merges adjacent drained domain cells. Cells split at
-// the boundaries of every child fragment piece that releases over them;
-// once drained (no live registration, no pending hand-over, no reader or
-// reduction history) two neighbors with the same writer history behave
-// identically for all future registrations, so the split can be undone.
-// Without this, an outer task's domain accumulates one cell per descendant
-// release and deep weakwait programs turn quadratic. History lists obey
-// the nil-on-empty invariant, so merged (dropped) cells never strand a
-// pooled list.
-func drainedCellsEqual(a, b cellState) bool {
-	return a.liveCount == 0 && b.liveCount == 0 &&
-		a.handover == nil && b.handover == nil &&
+// cellsEqual merges adjacent domain cells whose state is equal, live or
+// drained. Cells split at the boundaries of every child fragment that
+// registers or releases over them; without merging, an outer task's domain
+// accumulates one cell per descendant piece and every later split pays a
+// linear shift.
+//
+// Merging is sound because every cellState field is per-element state: a
+// cell only run-length-encodes the identical state of its elements.
+// liveCount is the number of unreleased pieces covering each element (each
+// release decrements exactly the elements it covers, splitting the cell
+// again if need be), handover is the owner fragment each element drains
+// into, lastWriter and written are each element's writer history. Two
+// touching cells that agree on all of them therefore behave element for
+// element like one cell under every later registration, grant, hand-over
+// and drain; merging only stops the engine from making one link (or
+// hand-over, or drain event) per cell where one over the union does, so
+// Stats.Links, Inbounds and Handovers may be lower than without it.
+// Reader and reduction histories are lists of fragments that are not
+// compared here: cells are merged only when both are empty, and history
+// lists obey the nil-on-empty invariant, so merged (dropped) cells never
+// strand a pooled list.
+func cellsEqual(a, b cellState) bool {
+	return a.liveCount == b.liveCount && a.handover == b.handover &&
+		a.lastWriter == b.lastWriter && a.written == b.written &&
 		a.readers.empty() && b.readers.empty() &&
-		a.reds.empty() && b.reds.empty() &&
-		a.lastWriter == b.lastWriter && a.written == b.written
+		a.reds.empty() && b.reds.empty()
 }
 
 // handleDrain completes the hand-over: the inner-domain cells covering this
@@ -720,7 +736,7 @@ func (c *depCore) handleDrain(f *fragment, iv regions.Interval) {
 		ps.waitDrain = false
 		c.tryRelease(f, pIv, ps)
 	})
-	f.state.MergeRange(iv, releasedEqual)
+	f.state.MergeRange(iv, piecesEqual)
 }
 
 // nodeSatisfy credits length satisfied elements to n's strong accesses.

@@ -9,7 +9,7 @@ import (
 
 // The coalescing regression tests: deep weakwait cascades must not
 // accumulate map entries in ancestor domains or long-lived fragments. See
-// drainedCellsEqual / releasedEqual in engine.go.
+// cellsEqual / piecesEqual in engine.go.
 
 // countDomainEntries returns the total entry count across a node's domain
 // maps.

@@ -27,6 +27,16 @@ type LocalityResult struct {
 	CrossRate   float64                // fraction of steals that left the thief's group
 }
 
+// LocalityProcs is the GOMAXPROCS a w-worker locality measurement runs
+// at: w, but never more than the host's CPU count. With more Ps than CPUs
+// the kernel time-slices the Ps' threads, and a worker frozen mid-leaf for
+// a whole time slice lets the other group drain its pile first and spend
+// the rest of the run stealing across groups, so the cross-group rate
+// would measure thread preemption, not the victim walk. The w workers
+// still run as w goroutines; on a small host they interleave through the
+// Go scheduler at every leaf's Gosched.
+func LocalityProcs(w int) int { return min(w, runtime.NumCPU()) }
+
 // LocalityBench drives ~ops spinning leaf items through a stealing pool
 // built over topo with w workers. The driver acquires every token — which
 // makes an owner-push onto any shard legal — and piles each group's equal

@@ -15,18 +15,13 @@ import (
 // sit near zero and flat ones near the cross-group victim fraction — so
 // host noise cannot flip the comparison.
 //
-// GOMAXPROCS is raised toward w but never above the host's CPU count:
-// with more Ps than CPUs the kernel time-slices the Ps' threads, and a
-// worker frozen mid-leaf for a whole time slice lets the other group
-// drain its pile first and spend the rest of the run stealing across
-// groups — the rate would then measure thread preemption, not the victim
-// walk. The w workers still run as w goroutines; on a small host they
-// interleave through the Go scheduler at every leaf's Gosched.
+// GOMAXPROCS is raised toward w but never above the host's CPU count
+// (LocalityProcs).
 func TestLocalityCrossGroupDrop(t *testing.T) {
 	const ops, spin = 40_000, 400
 	for _, w := range []int{4, 8} {
 		prev := runtime.GOMAXPROCS(0)
-		if procs := min(w, runtime.NumCPU()); procs > prev {
+		if procs := LocalityProcs(w); procs > prev {
 			runtime.GOMAXPROCS(procs)
 		}
 		flat := LocalityBench(LocalityTopologies[0].Topo, w, ops, spin)

@@ -178,7 +178,7 @@ func PerfEntries(m PerfMatrix) []PerfEntry {
 		for _, tp := range LocalityTopologies {
 			tp := tp
 			add(fmt.Sprintf("locality/%s/w%d", tp.Name, w), "ns/op", func() float64 {
-				return atWidth(w, func() float64 {
+				return atWidth(LocalityProcs(w), func() float64 {
 					res := LocalityBench(tp.Topo, w, localityOps, localitySpin)
 					return float64(res.Wall) / float64(res.Ops)
 				})

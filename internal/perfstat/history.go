@@ -1,10 +1,13 @@
 package perfstat
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
+	"strings"
 )
 
 // The committed trajectory: BENCH_history.json is a JSON array of
@@ -37,9 +40,11 @@ type Record struct {
 	Commit string `json:"commit"`
 	// Time is the RFC3339 collection timestamp.
 	Time string `json:"time"`
-	// Host describes the environment: go version, GOMAXPROCS.
+	// Host describes the environment: go version, GOMAXPROCS and CPU
+	// model (HostCPUModel; empty in records written before the field).
 	Go       string `json:"go"`
 	MaxProcs int    `json:"maxprocs"`
+	CPUModel string `json:"cpu_model,omitempty"`
 	// Quick marks reduced-op smoke collections, which are never
 	// comparable to full runs.
 	Quick bool `json:"quick,omitempty"`
@@ -80,13 +85,16 @@ func LoadHistory(path string) ([]Record, error) {
 }
 
 // LastComparable returns the newest record taken like run — the same
-// Quick class, GOMAXPROCS and Go version — or nil. A reduced-op smoke run
-// must never gate against a full run, nor a run at one width or on one
-// toolchain against another.
+// Quick class, GOMAXPROCS, Go version and CPU model — or nil. A reduced-op
+// smoke run must never gate against a full run, nor a run at one width,
+// on one toolchain or on one CPU against another. A record with no CPU
+// model (written before the field existed) names no host, so it never
+// matches.
 func LastComparable(recs []Record, run Record) *Record {
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := &recs[i]
-		if r.Quick == run.Quick && r.MaxProcs == run.MaxProcs && r.Go == run.Go {
+		if r.Quick == run.Quick && r.MaxProcs == run.MaxProcs && r.Go == run.Go &&
+			r.CPUModel != "" && r.CPUModel == run.CPUModel {
 			return r
 		}
 	}
@@ -112,4 +120,23 @@ func AppendHistory(path string, rec Record) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// HostCPUModel names the CPU this process runs on: the first "model name"
+// of /proc/cpuinfo, or GOARCH where that file is missing or names none,
+// so a record written by perftrack always names its host.
+func HostCPUModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		k, v, _ := strings.Cut(sc.Text(), ":")
+		if v = strings.TrimSpace(v); strings.TrimSpace(k) == "model name" && v != "" {
+			return v
+		}
+	}
+	return runtime.GOARCH
 }

@@ -259,7 +259,7 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 		t.Fatalf("missing file: recs=%v err=%v, want empty, nil", recs, err)
 	}
 	r1 := Record{
-		Commit: "aaa", Time: "2026-08-08T00:00:00Z", Go: "go1.24", MaxProcs: 4,
+		Commit: "aaa", Time: "2026-08-08T00:00:00Z", Go: "go1.24", MaxProcs: 4, CPUModel: "cpu",
 		Entries: []HistoryEntry{
 			{Name: "z/last", Unit: "ns/op", Values: []float64{2, 2, 2}, Mean: 2, Stable: true},
 			{Name: "a/first", Unit: "ns/op", Values: []float64{1, 1, 1}, Mean: 1, Stable: true},
@@ -268,7 +268,7 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 	if err := AppendHistory(path, r1); err != nil {
 		t.Fatal(err)
 	}
-	r2 := Record{Commit: "bbb", Time: "2026-08-08T01:00:00Z", Go: "go1.24", MaxProcs: 4, Quick: true}
+	r2 := Record{Commit: "bbb", Time: "2026-08-08T01:00:00Z", Go: "go1.24", MaxProcs: 4, CPUModel: "cpu", Quick: true}
 	if err := AppendHistory(path, r2); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Commit != "aaa" || recs[1].Commit != "bbb" {
+	if len(recs) != 2 || recs[0].Commit != "aaa" || recs[1].Commit != "bbb" || recs[0].CPUModel != "cpu" {
 		t.Fatalf("round trip: %+v", recs)
 	}
 	// Entries come back sorted by name (canonical on-disk order).
@@ -284,7 +284,7 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 		t.Errorf("entries not sorted: %+v", recs[0].Entries)
 	}
 	// Quick and full records never gate against each other.
-	host := Record{Go: "go1.24", MaxProcs: 4}
+	host := Record{Go: "go1.24", MaxProcs: 4, CPUModel: "cpu"}
 	if last := LastComparable(recs, host); last == nil || last.Commit != "aaa" {
 		t.Errorf("LastComparable(full) = %+v, want commit aaa", last)
 	}
@@ -301,16 +301,20 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 }
 
 // TestLastComparableMatchesHost checks the gate baseline is taken on a
-// comparable host: a record at another GOMAXPROCS or Go version is never
-// returned, even when it is the newest, and the newest same-host record
-// is.
+// comparable host: a record at another GOMAXPROCS, Go version or CPU
+// model is never returned, even when it is the newest, and the newest
+// same-host record is. A record with no CPU model (written before the
+// field existed) never matches, not even a run whose model is empty too.
 func TestLastComparableMatchesHost(t *testing.T) {
+	const cpu = "Test CPU @ 2.0GHz"
 	recs := []Record{
-		{Commit: "same-host", Go: "go1.24", MaxProcs: 2},
-		{Commit: "other-go", Go: "go1.23", MaxProcs: 2},
-		{Commit: "one-proc", Go: "go1.24", MaxProcs: 1},
+		{Commit: "same-host", Go: "go1.24", MaxProcs: 2, CPUModel: cpu},
+		{Commit: "other-go", Go: "go1.23", MaxProcs: 2, CPUModel: cpu},
+		{Commit: "one-proc", Go: "go1.24", MaxProcs: 1, CPUModel: cpu},
+		{Commit: "other-cpu", Go: "go1.24", MaxProcs: 2, CPUModel: "Other CPU"},
+		{Commit: "no-model", Go: "go1.24", MaxProcs: 2},
 	}
-	run := Record{Go: "go1.24", MaxProcs: 2}
+	run := Record{Go: "go1.24", MaxProcs: 2, CPUModel: cpu}
 	if last := LastComparable(recs, run); last == nil || last.Commit != "same-host" {
 		t.Errorf("LastComparable(2 procs) = %+v, want commit same-host", last)
 	}
@@ -320,5 +324,16 @@ func TestLastComparableMatchesHost(t *testing.T) {
 	run.MaxProcs = 1
 	if last := LastComparable(recs, run); last == nil || last.Commit != "one-proc" {
 		t.Errorf("LastComparable(1 proc) = %+v, want commit one-proc", last)
+	}
+	run.MaxProcs, run.CPUModel = 2, "Other CPU"
+	if last := LastComparable(recs, run); last == nil || last.Commit != "other-cpu" {
+		t.Errorf("LastComparable(other CPU) = %+v, want commit other-cpu", last)
+	}
+	run.CPUModel = ""
+	if last := LastComparable(recs, run); last != nil {
+		t.Errorf("LastComparable(no model) = %+v, want nil: an empty model names no host", last)
+	}
+	if HostCPUModel() == "" {
+		t.Error("HostCPUModel is empty; perftrack records would never match")
 	}
 }

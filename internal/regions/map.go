@@ -2,7 +2,6 @@ package regions
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -21,10 +20,6 @@ import (
 type Map[V any] struct {
 	entries []entry[V]
 	clone   func(V) V
-	// gaps is Materialize's reusable gap-collection scratch: pooled maps
-	// cycle through many materializations, and the scratch (plain
-	// intervals, no pointers) keeps its capacity across Reset.
-	gaps []Interval
 }
 
 type entry[V any] struct {
@@ -70,106 +65,180 @@ func (m *Map[V]) CoveredLen() int64 {
 	return n
 }
 
-// firstOverlapping returns the index of the first entry with Hi > lo.
-func (m *Map[V]) firstOverlapping(lo int64) int {
-	return sort.Search(len(m.entries), func(i int) bool {
-		return m.entries[i].iv.Hi > lo
-	})
+// search returns the index of the first entry with Hi > p: the entry
+// containing p, or the first entry after it. It is the map's only search;
+// every operation below makes exactly one and then walks forward.
+func (m *Map[V]) search(p int64) int {
+	lo, hi := 0, len(m.entries)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if m.entries[h].iv.Hi > p {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
 }
 
-// splitAt ensures no entry straddles point p: the entry containing p in its
-// interior is split into [lo,p) and [p,hi).
-func (m *Map[V]) splitAt(p int64) {
-	i := m.firstOverlapping(p)
-	if i >= len(m.entries) {
-		return
-	}
+// insertAt inserts e at index i, shifting later entries up.
+func (m *Map[V]) insertAt(i int, e entry[V]) {
+	m.entries = append(m.entries, entry[V]{})
+	copy(m.entries[i+1:], m.entries[i:])
+	m.entries[i] = e
+}
+
+// split cuts entry i at p, which must lie strictly inside it, into [lo,p)
+// at i and [p,hi) at i+1. The upper half's value is the one clone.
+func (m *Map[V]) split(i int, p int64) {
 	e := &m.entries[i]
-	if !e.iv.Contains(p) || e.iv.Lo == p {
-		return
-	}
 	upper := entry[V]{iv: Interval{Lo: p, Hi: e.iv.Hi}, v: m.dup(e.v)}
 	e.iv.Hi = p
-	m.entries = append(m.entries, entry[V]{})
-	copy(m.entries[i+2:], m.entries[i+1:])
-	m.entries[i+1] = upper
+	m.insertAt(i+1, upper)
+}
+
+// start searches for lo and splits the entry straddling it, returning the
+// index of the first entry that ends after lo and does not begin before it.
+func (m *Map[V]) start(lo int64) int {
+	i := m.search(lo)
+	if i < len(m.entries) && m.entries[i].iv.Lo < lo {
+		m.split(i, lo)
+		i++
+	}
+	return i
 }
 
 // VisitRange visits every entry overlapping iv in ascending order, after
 // splitting boundary entries so that each visited entry lies fully inside
 // iv. Gaps are skipped. f receives the entry interval and a pointer to its
-// value; the value may be mutated in place. f must not mutate the map.
+// value; the value may be mutated in place. f must not otherwise mutate the
+// map, except that it may Reset it (a callback can recycle the map's
+// owner): the walk re-reads the length on every step and stops.
+//
+// The walk costs one search: it splits the first entry at iv.Lo, then cuts
+// the last entry at iv.Hi when it reaches it.
 func (m *Map[V]) VisitRange(iv Interval, f func(Interval, *V)) {
 	if iv.Empty() {
 		return
 	}
-	m.splitAt(iv.Lo)
-	m.splitAt(iv.Hi)
-	for i := m.firstOverlapping(iv.Lo); i < len(m.entries); i++ {
-		e := &m.entries[i]
-		if e.iv.Lo >= iv.Hi {
+	for i := m.start(iv.Lo); i < len(m.entries); i++ {
+		if m.entries[i].iv.Lo >= iv.Hi {
 			break
 		}
+		if m.entries[i].iv.Hi > iv.Hi {
+			m.split(i, iv.Hi)
+		}
+		e := &m.entries[i]
 		f(e.iv, &e.v)
 	}
 }
 
 // VisitRangeGaps is like VisitRange but also reports the gaps (sub-intervals
 // of iv not covered by any entry) through gap. Entries and gaps are reported
-// in ascending order, interleaved.
+// in ascending order, interleaved. Either callback may be nil.
 func (m *Map[V]) VisitRangeGaps(iv Interval, f func(Interval, *V), gap func(Interval)) {
 	if iv.Empty() {
 		return
 	}
-	m.splitAt(iv.Lo)
-	m.splitAt(iv.Hi)
 	pos := iv.Lo
-	for i := m.firstOverlapping(iv.Lo); i < len(m.entries); i++ {
-		// Reload the entry pointer on every iteration: f may not mutate the
-		// map, but gap callbacks often insert entries via a second pass, so
-		// we keep the loop simple and index-based.
-		e := &m.entries[i]
-		if e.iv.Lo >= iv.Hi {
+	for i := m.start(iv.Lo); i < len(m.entries); i++ {
+		if m.entries[i].iv.Lo >= iv.Hi {
 			break
 		}
+		if m.entries[i].iv.Hi > iv.Hi {
+			m.split(i, iv.Hi)
+		}
+		e := &m.entries[i]
 		if e.iv.Lo > pos && gap != nil {
 			gap(Interval{Lo: pos, Hi: e.iv.Lo})
 		}
+		pos = e.iv.Hi
 		if f != nil {
 			f(e.iv, &e.v)
 		}
-		pos = e.iv.Hi
 	}
 	if pos < iv.Hi && gap != nil {
 		gap(Interval{Lo: pos, Hi: iv.Hi})
 	}
 }
 
+// VisitClipped reports every entry overlapping iv in ascending order, its
+// interval clipped to iv, without splitting anything: f only reads, so the
+// map is left exactly as it was. Gaps are skipped.
+func (m *Map[V]) VisitClipped(iv Interval, f func(Interval, V)) {
+	if iv.Empty() {
+		return
+	}
+	for i := m.search(iv.Lo); i < len(m.entries); i++ {
+		e := &m.entries[i]
+		if e.iv.Lo >= iv.Hi {
+			break
+		}
+		f(e.iv.Intersect(iv), e.v)
+	}
+}
+
 // Materialize ensures iv is fully covered by entries, creating entries with
 // value init() for every gap, then visits every entry inside iv in order.
+// Gaps are filled in the same walk that visits the entries, so the call
+// costs one search. f may be nil; like VisitRange's, it may Reset the map,
+// which ends the walk.
 func (m *Map[V]) Materialize(iv Interval, init func(Interval) V, f func(Interval, *V)) {
 	if iv.Empty() {
 		return
 	}
-	m.splitAt(iv.Lo)
-	m.splitAt(iv.Hi)
-	// Collect gaps first (cannot insert while iterating).
-	m.gaps = m.gaps[:0]
-	m.VisitRangeGaps(iv, nil, func(g Interval) { m.gaps = append(m.gaps, g) })
-	for _, g := range m.gaps {
-		m.insert(g, init(g))
-	}
-	if f != nil {
-		m.VisitRange(iv, f)
+	pos := iv.Lo
+	for i := m.start(iv.Lo); pos < iv.Hi; i++ {
+		if i == len(m.entries) || m.entries[i].iv.Lo > pos {
+			g := Interval{Lo: pos, Hi: iv.Hi}
+			if i < len(m.entries) && m.entries[i].iv.Lo < g.Hi {
+				g.Hi = m.entries[i].iv.Lo
+			}
+			m.insertAt(i, entry[V]{iv: g, v: init(g)})
+		} else if m.entries[i].iv.Hi > iv.Hi {
+			m.split(i, iv.Hi)
+		}
+		e := &m.entries[i]
+		pos = e.iv.Hi
+		if f != nil {
+			f(e.iv, &e.v)
+			if i >= len(m.entries) {
+				return // f recycled the map
+			}
+		}
 	}
 }
 
-// insert adds a new entry; the interval must not overlap any existing entry.
-func (m *Map[V]) insert(iv Interval, v V) {
-	i := m.firstOverlapping(iv.Lo)
-	m.entries = append(m.entries, entry[V]{})
-	copy(m.entries[i+1:], m.entries[i:])
-	m.entries[i] = entry[V]{iv: iv, v: v}
+// cut removes everything inside iv and returns the index where an entry
+// starting at iv.Lo belongs. Entries straddling a boundary are trimmed
+// rather than split, so no value is cloned unless iv lies strictly inside
+// one entry, whose upper remainder then takes the one clone.
+func (m *Map[V]) cut(iv Interval) int {
+	i := m.search(iv.Lo)
+	if i < len(m.entries) && m.entries[i].iv.Lo < iv.Lo {
+		e := &m.entries[i]
+		if e.iv.Hi > iv.Hi {
+			upper := entry[V]{iv: Interval{Lo: iv.Hi, Hi: e.iv.Hi}, v: m.dup(e.v)}
+			e.iv.Hi = iv.Lo
+			m.insertAt(i+1, upper)
+			return i + 1
+		}
+		e.iv.Hi = iv.Lo
+		i++
+	}
+	j := i
+	for j < len(m.entries) && m.entries[j].iv.Hi <= iv.Hi {
+		j++
+	}
+	if j < len(m.entries) && m.entries[j].iv.Lo < iv.Hi {
+		m.entries[j].iv.Lo = iv.Hi
+	}
+	if j > i {
+		n := copy(m.entries[i:], m.entries[j:])
+		clear(m.entries[i+n:])
+		m.entries = m.entries[:i+n]
+	}
+	return i
 }
 
 // Set assigns value v over iv, overwriting (and fragmenting) whatever was
@@ -178,8 +247,7 @@ func (m *Map[V]) Set(iv Interval, v V) {
 	if iv.Empty() {
 		return
 	}
-	m.Remove(iv)
-	m.insert(iv, v)
+	m.insertAt(m.cut(iv), entry[V]{iv: iv, v: v})
 }
 
 // Remove deletes all entries (or entry parts) inside iv.
@@ -187,14 +255,7 @@ func (m *Map[V]) Remove(iv Interval) {
 	if iv.Empty() {
 		return
 	}
-	m.splitAt(iv.Lo)
-	m.splitAt(iv.Hi)
-	first := m.firstOverlapping(iv.Lo)
-	last := first
-	for last < len(m.entries) && m.entries[last].iv.Lo < iv.Hi {
-		last++
-	}
-	m.entries = append(m.entries[:first], m.entries[last:]...)
+	m.cut(iv)
 }
 
 // MergeRange coalesces runs of adjacent entries that touch (no gap between
@@ -210,7 +271,7 @@ func (m *Map[V]) MergeRange(iv Interval, eq func(a, b V) bool) {
 	if iv.Empty() || len(m.entries) < 2 {
 		return
 	}
-	first := m.firstOverlapping(iv.Lo)
+	first := m.search(iv.Lo)
 	if first > 0 {
 		first--
 	}
@@ -236,14 +297,16 @@ func (m *Map[V]) MergeRange(iv Interval, eq func(a, b V) bool) {
 		m.entries[w] = n
 	}
 	if removed := last - 1 - w; removed > 0 {
-		m.entries = append(m.entries[:w+1], m.entries[last:]...)
+		n := copy(m.entries[w+1:], m.entries[last:])
+		clear(m.entries[w+1+n:])
+		m.entries = m.entries[:w+1+n]
 	}
 }
 
 // Get returns the value pointer for the entry containing point p, or nil.
 func (m *Map[V]) Get(p int64) *V {
-	i := m.firstOverlapping(p)
-	if i < len(m.entries) && m.entries[i].iv.Contains(p) {
+	i := m.search(p)
+	if i < len(m.entries) && m.entries[i].iv.Lo <= p {
 		return &m.entries[i].v
 	}
 	return nil
@@ -256,11 +319,16 @@ func (m *Map[V]) Visit(f func(Interval, *V)) {
 	}
 }
 
-// Covered reports whether iv is fully covered by entries.
+// Covered reports whether iv is fully covered by entries. It never splits.
 func (m *Map[V]) Covered(iv Interval) bool {
-	covered := true
-	m.VisitRangeGaps(iv, nil, func(Interval) { covered = false })
-	return covered
+	pos := iv.Lo
+	for i := m.search(iv.Lo); i < len(m.entries) && pos < iv.Hi; i++ {
+		if m.entries[i].iv.Lo > pos {
+			return false
+		}
+		pos = m.entries[i].iv.Hi
+	}
+	return pos >= iv.Hi
 }
 
 // Validate checks the map invariants (sorted, disjoint, non-empty) and
